@@ -10,6 +10,53 @@ use std::collections::BTreeMap;
 
 use crate::sensitivity::DeviationReport;
 
+/// Relative tolerance within which two detectable deviations count as
+/// equal.  It is ten times the deviation search's stopping tolerance
+/// ([`crate::sensitivity::DEVIATION_TOLERANCE`]), so two rows the search
+/// cannot tell apart never order by float noise.
+pub const DEVIATION_TIE_TOLERANCE: f64 = 1e-5;
+
+// Ties must be coarser than the noise the search leaves in a deviation.
+const _: () = assert!(DEVIATION_TIE_TOLERANCE > crate::sensitivity::DEVIATION_TOLERANCE);
+
+/// `true` when `deviation` ties with (or beats) the smallest deviation
+/// `best` under [`DEVIATION_TIE_TOLERANCE`].
+fn ties_with(deviation: f64, best: f64) -> bool {
+    deviation <= best * (1.0 + DEVIATION_TIE_TOLERANCE)
+}
+
+/// Ranks candidate deviations, given in parameter declaration order, from
+/// the most to the least sensitive parameter, and returns their indices.
+///
+/// The tie rule: each rank goes to the first-declared candidate within
+/// [`DEVIATION_TIE_TOLERANCE`] of the smallest remaining deviation.  The
+/// result is one strict total order of the candidates, which noise below
+/// the tolerance cannot change.
+///
+/// ```
+/// use msatpg_analog::coverage::rank_deviations;
+///
+/// // The last two differ in their last ulps only: declaration order wins.
+/// let d = 0.1_f64;
+/// assert_eq!(rank_deviations(&[0.3, d, d.next_down()]), vec![1, 2, 0]);
+/// ```
+pub fn rank_deviations(deviations: &[f64]) -> Vec<usize> {
+    let mut remaining: Vec<usize> = (0..deviations.len()).collect();
+    let mut ranking = Vec::with_capacity(deviations.len());
+    while let Some(best) = remaining
+        .iter()
+        .map(|&i| deviations[i])
+        .min_by(f64::total_cmp)
+    {
+        let next = remaining
+            .iter()
+            .position(|&i| ties_with(deviations[i], best))
+            .unwrap_or(0);
+        ranking.push(remaining.remove(next));
+    }
+    ranking
+}
+
 /// An edge of the coverage graph: measuring `parameter` detects a deviation
 /// of `deviation` (fraction) or more in `element`.
 #[derive(Clone, Debug, PartialEq)]
@@ -68,18 +115,20 @@ impl CoverageGraph {
     }
 
     /// Best (smallest) detectable deviation of an element over all
-    /// parameters.
+    /// parameters, under the tie rule of [`rank_deviations`].
     pub fn best_deviation(&self, element: &str) -> Option<f64> {
-        self.edges
-            .iter()
-            .filter(|e| e.element == element)
-            .map(|e| e.deviation)
-            .fold(None, |acc, d| {
-                Some(match acc {
-                    None => d,
-                    Some(prev) => prev.min(d),
-                })
-            })
+        self.best_parameter(element).map(|(_, d)| d)
+    }
+
+    /// The parameter that detects the smallest deviation of an element, and
+    /// that deviation.  Deviations within [`DEVIATION_TIE_TOLERANCE`] of
+    /// each other tie, and a tie goes to the parameter declared first.
+    pub fn best_parameter(&self, element: &str) -> Option<(&str, f64)> {
+        let edges: Vec<&CoverageEdge> =
+            self.edges.iter().filter(|e| e.element == element).collect();
+        let deviations: Vec<f64> = edges.iter().map(|e| e.deviation).collect();
+        let best = edges[*rank_deviations(&deviations).first()?];
+        Some((best.parameter.as_str(), best.deviation))
     }
 
     /// Elements with no incident edge: no measured parameter can detect any
@@ -119,7 +168,7 @@ impl CoverageGraph {
                         self.edges.iter().any(|e| {
                             e.parameter == *p
                                 && e.element == *el
-                                && e.deviation <= target[el] * 1.000001
+                                && ties_with(e.deviation, target[el])
                         })
                     })
                     .collect();
@@ -138,7 +187,7 @@ impl CoverageGraph {
                         !self.edges.iter().any(|e| {
                             e.parameter == p
                                 && e.element == *el
-                                && e.deviation <= target[el] * 1.000001
+                                && ties_with(e.deviation, target[el])
                         })
                     });
                     chosen.push(p.to_owned());
@@ -260,6 +309,47 @@ mod tests {
         let sel = graph.select_test_set();
         assert_eq!(sel.parameters, vec!["B".to_owned()]);
         assert!((sel.coverage_ratio() - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn near_equal_deviations_tie_to_declaration_order() {
+        // Two rows that differ only in their last ulps: the first-declared
+        // parameter wins whichever is numerically smaller.
+        let d: f64 = 0.052_631_578_947_368;
+        for (a, b) in [(d, d.next_down()), (d.next_down(), d), (d, d)] {
+            let graph = CoverageGraph {
+                edges: vec![
+                    CoverageEdge {
+                        parameter: "A1".into(),
+                        element: "Rg".into(),
+                        deviation: a,
+                    },
+                    CoverageEdge {
+                        parameter: "A2".into(),
+                        element: "Rg".into(),
+                        deviation: b,
+                    },
+                ],
+                parameters: vec!["A1".into(), "A2".into()],
+                elements: vec!["Rg".into()],
+            };
+            assert_eq!(graph.best_parameter("Rg"), Some(("A1", a)));
+            assert_eq!(graph.best_deviation("Rg"), Some(a));
+            assert_eq!(rank_deviations(&[a, b]), vec![0, 1]);
+        }
+        // Outside the tolerance the smaller deviation wins.
+        let far = d * (1.0 + 10.0 * DEVIATION_TIE_TOLERANCE);
+        assert_eq!(rank_deviations(&[far, d]), vec![1, 0]);
+    }
+
+    #[test]
+    fn ranking_is_a_permutation_in_a_consistent_order() {
+        // A chain of pairwise ties: every index appears once, and each rank
+        // is the first-declared candidate tied with the remaining minimum.
+        let step = 1.0 + 0.6 * DEVIATION_TIE_TOLERANCE;
+        let chain = [0.1 * step * step, 0.1 * step, 0.1, 0.5, f64::NAN];
+        assert_eq!(rank_deviations(&chain), vec![1, 2, 0, 3, 4]);
+        assert_eq!(rank_deviations(&[]), Vec::<usize>::new());
     }
 
     #[test]

@@ -189,7 +189,9 @@ impl LuFactor {
             for row in (col + 1)..n {
                 let factor = a[row * n + col] / pivot;
                 a[row * n + col] = factor; // store the L multiplier in place
-                if factor.abs() == 0.0 {
+                                           // An exact zero test: `abs()` is a hypot call, and it is zero
+                                           // only when both parts are.
+                if factor == Complex::ZERO {
                     continue;
                 }
                 for j in (col + 1)..n {
@@ -223,7 +225,7 @@ impl LuFactor {
         }
         for col in 0..n {
             let xv = b[col];
-            if xv.abs() == 0.0 {
+            if xv == Complex::ZERO {
                 continue;
             }
             for row in (col + 1)..n {

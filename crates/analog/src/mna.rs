@@ -15,11 +15,21 @@
 //!   against the same factorization — repeated sweeps over the same grid
 //!   (peak search, −3 dB bisection) hit the cache and skip both assembly and
 //!   factorization;
-//! * a parameter deviation ([`Mna::set_value`] / [`Mna::scale_value`])
-//!   patches only the few `G`/`C` entries its element touches — including
-//!   inside every cached per-frequency system — instead of re-stamping the
-//!   whole matrix, so a deviation analysis re-uses all structural work
-//!   across its thousands of probe solves.
+//! * a **deviation probe** ([`Mna::probe`]) evaluates the circuit with one
+//!   element at another value without touching the engine.  The
+//!   value-dependent stamps of every element form a rank-one matrix
+//!   `u·vᵀ`, so the probed system is `A + δ·u·vᵀ` and its solution is a
+//!   Sherman–Morrison update of the cached factorization of `A`:
+//!   `x' = x − δ·(vᵀx)/(1 + δ·vᵀz)·z` with `x = A⁻¹b` and `z = A⁻¹u`.
+//!   Both vectors are cached per frequency (`x` per drive, `z` per probed
+//!   element), so a probe solve at a warm frequency is a few scalar
+//!   operations, no cached factorization is ever invalidated, and a probe's
+//!   result does not depend on what the engine solved before it;
+//! * a persistent parameter deviation ([`Mna::set_value`] /
+//!   [`Mna::scale_value`]) patches only the few `G`/`C` entries its element
+//!   touches instead of re-stamping the whole matrix, and marks the cached
+//!   factorizations stale; each is re-assembled from the patched `G`/`C`
+//!   and refactored on its next use.
 //!
 //! The single-pole op-amp model `A(s) = a0/(1 + s/ω)` is folded into the
 //! `G + s·C` form by multiplying its constraint row through by the
@@ -36,24 +46,6 @@ use crate::complex::Complex;
 use crate::matrix::LuFactor;
 use crate::netlist::{Circuit, ElementId, ElementKind, NodeId, OpAmpModel};
 use crate::AnalogError;
-
-/// Which independent sources drive the circuit during a solve.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Drive {
-    /// Every source uses its own DC value (used by [`Mna::solve_dc`]).
-    AllDc,
-    /// Every source uses its own AC magnitude (used by [`Mna::solve_ac`]).
-    AllAc,
-    /// Only the named source is active, with the given magnitude; all other
-    /// independent sources are zeroed.  This is how transfer functions are
-    /// computed.
-    Single {
-        /// Name of the active source element.
-        source: String,
-        /// Magnitude applied to the source.
-        magnitude: f64,
-    },
-}
 
 /// The result of one MNA solve: node voltages and source/branch currents.
 #[derive(Clone, Debug)]
@@ -93,17 +85,20 @@ pub struct SolverStats {
     pub factorizations: u64,
     /// Element-value patches applied.
     pub patches: u64,
+    /// Solves answered by a rank-one (Sherman–Morrison) update inside a
+    /// [`Mna::probe`]; each is also counted in `solves`.
+    pub rank_one_solves: u64,
 }
 
 /// Which of the two real matrices an entry belongs to.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 enum Target {
     G,
     C,
 }
 
 /// How a stamp entry's numeric contribution derives from the element value.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 enum Dep {
     /// `factor` (independent of the element value).
     Const,
@@ -146,21 +141,113 @@ enum RhsStamp {
     },
 }
 
-/// A fully assembled system at one frequency; `lu.is_factored()` says
-/// whether the stored factorization still matches `a`.
+/// The value-dependent stamps of one element as a rank-one matrix: a value
+/// change multiplies `u·vᵀ` by the change of the stamp coefficient (`Δvalue`
+/// for [`Dep::Value`], `Δ(1/value)` for [`Dep::Inverse`]), in `G` or in `C`.
+#[derive(Clone, Debug)]
+struct RankOne {
+    target: Target,
+    dep: Dep,
+    /// Sparse `(row, coefficient)` entries of `u`.
+    u: Vec<(usize, f64)>,
+    /// Sparse `(col, coefficient)` entries of `v`.
+    v: Vec<(usize, f64)>,
+}
+
+impl RankOne {
+    /// Factors the value-dependent part of a stamp pattern as `u·vᵀ`, or
+    /// `None` when the element's value does not enter the matrix (sources,
+    /// ideal op-amps, stamps that cancel).
+    fn from_stamps(stamps: &[Stamp]) -> Option<RankOne> {
+        let mut entries: Vec<(usize, usize, f64)> = Vec::new();
+        for stamp in stamps.iter().filter(|s| s.dep != Dep::Const) {
+            let (row, col) = (stamp.row as usize, stamp.col as usize);
+            match entries.iter_mut().find(|e| e.0 == row && e.1 == col) {
+                Some(entry) => entry.2 += stamp.factor,
+                None => entries.push((row, col, stamp.factor)),
+            }
+        }
+        entries.retain(|e| e.2 != 0.0);
+        let &(row0, col0, pivot) = entries.first()?;
+        let first = stamps.iter().find(|s| s.dep != Dep::Const)?;
+        let entry = |row: usize, col: usize| -> f64 {
+            entries
+                .iter()
+                .find(|e| e.0 == row && e.1 == col)
+                .map_or(0.0, |e| e.2)
+        };
+        let mut rows: Vec<usize> = entries.iter().map(|e| e.0).collect();
+        let mut cols: Vec<usize> = entries.iter().map(|e| e.1).collect();
+        rows.sort_unstable();
+        rows.dedup();
+        cols.sort_unstable();
+        cols.dedup();
+        // Column `col0` of the pattern times row `row0` over the pivot.
+        let u: Vec<(usize, f64)> = rows.iter().map(|&r| (r, entry(r, col0))).collect();
+        let v: Vec<(usize, f64)> = cols.iter().map(|&c| (c, entry(row0, c) / pivot)).collect();
+        debug_assert!(
+            stamps
+                .iter()
+                .filter(|s| s.dep != Dep::Const)
+                .all(|s| s.target == first.target && s.dep == first.dep),
+            "an element's value-dependent stamps share one matrix and one dependence"
+        );
+        debug_assert!(
+            u.iter()
+                .all(|&(r, ur)| v.iter().all(|&(c, vc)| ur * vc == entry(r, c))),
+            "value-dependent stamps must form a rank-one pattern"
+        );
+        Some(RankOne {
+            target: first.target,
+            dep: first.dep,
+            u,
+            v,
+        })
+    }
+}
+
+/// The right-hand side of a solve, with the driving source resolved to its
+/// element id (so a solve compares ids, not names).
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Rhs {
+    AllDc,
+    AllAc,
+    Single { source: ElementId, magnitude: f64 },
+}
+
+/// An element evaluated at another value by [`Mna::probe`].
+#[derive(Clone, Copy, Debug)]
+struct Probe {
+    element: usize,
+    value: f64,
+}
+
+/// The factorization of `G + s·C` at one frequency; `lu.is_factored()`
+/// says whether it still matches the engine's current `G` and `C`.
 struct CachedSystem {
-    /// `G + s·C`, row-major.
-    a: Vec<Complex>,
+    /// `f64::to_bits` of the system's frequency.
+    key: u64,
     lu: LuFactor,
-    /// Engine tick of the most recent solve at this frequency (drives LRU
-    /// eviction).
-    last_used: u64,
+    /// The solution `A⁻¹b` of the most recent right-hand side.
+    solution: Option<(Rhs, Vec<Complex>)>,
+    /// `A⁻¹u` of the most recently probed element (by element index).
+    column: Option<(usize, Vec<Complex>)>,
+}
+
+impl CachedSystem {
+    /// Marks the factorization, and every solution derived from it, stale.
+    fn invalidate(&mut self) {
+        self.lu.invalidate();
+        self.solution = None;
+        self.column = None;
+    }
 }
 
 /// Bound on the number of per-frequency systems kept alive.  When a new
 /// frequency arrives at capacity, the least-recently-used system is evicted
-/// — fine-grid bisection searches keep their warm working set cached while
-/// memory stays bounded.
+/// and its storage reused — a deviation search keeps its sweep grid warm
+/// while the one-off frequencies of its refinements come and go, and memory
+/// stays bounded.
 const MAX_CACHED_SYSTEMS: usize = 512;
 
 struct Engine {
@@ -172,13 +259,59 @@ struct Engine {
     values: Vec<f64>,
     /// Nominal values from the circuit, for [`Mna::reset_values`].
     nominal: Vec<f64>,
-    /// Per-frequency assembled systems, keyed by `f64::to_bits(freq_hz)`.
-    systems: HashMap<u64, CachedSystem>,
+    /// Per-frequency systems, at most [`MAX_CACHED_SYSTEMS`].
+    systems: Vec<CachedSystem>,
+    /// `f64::to_bits(freq_hz)` → index into `systems`.
+    slots: HashMap<u64, usize>,
+    /// Engine tick of the most recent solve with each system, parallel to
+    /// `systems` and dense so the LRU scan stays cheap.
+    last_used: Vec<u64>,
     /// Reusable right-hand-side / solution buffer.
     rhs: Vec<Complex>,
+    /// Reusable `n × n` buffer `G + s·C` is assembled into before it is
+    /// factored.
+    assembly: Vec<Complex>,
     /// Monotone solve counter used as the LRU clock of `systems`.
     tick: u64,
     stats: SolverStats,
+    /// The element value [`Mna::probe`] currently evaluates, if any.
+    probe: Option<Probe>,
+}
+
+impl Engine {
+    /// Adds an unfactored system for the frequency `key` and returns its
+    /// index.  At capacity the least-recently-used system is evicted —
+    /// never wholesale, so a search oscillating over a fine grid keeps its
+    /// warm working set — and its storage reused.
+    fn insert_system(&mut self, key: u64, n: usize) -> usize {
+        let slot = if self.systems.len() < MAX_CACHED_SYSTEMS {
+            self.systems.push(CachedSystem {
+                key,
+                lu: LuFactor::new(n),
+                solution: None,
+                column: None,
+            });
+            self.last_used.push(0);
+            self.systems.len() - 1
+        } else {
+            let coldest = (0..self.last_used.len())
+                .min_by_key(|&i| self.last_used[i])
+                .unwrap_or(0);
+            let system = &mut self.systems[coldest];
+            self.slots.remove(&system.key);
+            system.key = key;
+            system.invalidate();
+            coldest
+        };
+        self.slots.insert(key, slot);
+        slot
+    }
+
+    fn clear_systems(&mut self) {
+        self.systems.clear();
+        self.slots.clear();
+        self.last_used.clear();
+    }
 }
 
 /// The MNA engine bound to one circuit.
@@ -217,6 +350,9 @@ pub struct Mna<'a> {
     n: usize,
     /// Structural stamp pattern, indexed by element id.
     element_stamps: Vec<Vec<Stamp>>,
+    /// Rank-one form of each element's value-dependent stamps, indexed by
+    /// element id.
+    rank_one: Vec<Option<RankOne>>,
     /// Right-hand-side pattern: `(element, stamp, dc_value)` per source.
     rhs_stamps: Vec<(ElementId, RhsStamp, f64)>,
     engine: RefCell<Engine>,
@@ -494,10 +630,14 @@ impl<'a> Mna<'a> {
             c,
             values: values.clone(),
             nominal: values,
-            systems: HashMap::new(),
+            systems: Vec::new(),
+            slots: HashMap::new(),
+            last_used: Vec::new(),
             rhs: vec![Complex::ZERO; n],
+            assembly: vec![Complex::ZERO; n * n],
             tick: 0,
             stats: SolverStats::default(),
+            probe: None,
         };
 
         Mna {
@@ -505,6 +645,10 @@ impl<'a> Mna<'a> {
             branch_elements,
             n_nodes,
             n,
+            rank_one: element_stamps
+                .iter()
+                .map(|s| RankOne::from_stamps(s))
+                .collect(),
             element_stamps,
             rhs_stamps,
             engine: RefCell::new(engine),
@@ -527,9 +671,10 @@ impl<'a> Mna<'a> {
     }
 
     /// Replaces the scalar value of an element, patching only the `G`/`C`
-    /// entries of its stamp pattern (and every cached per-frequency system)
-    /// instead of re-stamping the matrices.  The bound circuit is never
-    /// modified.
+    /// entries of its stamp pattern instead of re-stamping the matrices; the
+    /// cached per-frequency factorizations are refactored on their next use.
+    /// The bound circuit is never modified.  To evaluate a deviation without
+    /// changing the engine, use [`Mna::probe`].
     ///
     /// A value whose contribution is not finite (e.g. a resistor set to
     /// exactly `0.0`, whose conductance is infinite) cannot be expressed as
@@ -547,6 +692,12 @@ impl<'a> Mna<'a> {
         }
         engine.values[idx] = new_value;
         engine.stats.patches += 1;
+        if self.rhs_stamps.iter().any(|(id, ..)| id.index() == idx) {
+            // A source's AC value is part of the `AllAc` right-hand side.
+            for system in &mut engine.systems {
+                system.solution = None;
+            }
+        }
         let n = self.n;
         // First pass: a non-finite delta (value passing through zero on an
         // inverse-dependent stamp) would poison the matrices permanently if
@@ -568,21 +719,17 @@ impl<'a> Mna<'a> {
             match stamp.target {
                 Target::G => {
                     engine.g[slot] += delta;
-                    for system in engine.systems.values_mut() {
-                        system.a[slot] += Complex::from_real(delta);
-                        system.lu.invalidate();
+                    for system in &mut engine.systems {
+                        system.invalidate();
                     }
                 }
                 Target::C => {
                     engine.c[slot] += delta;
-                    for (&key, system) in engine.systems.iter_mut() {
-                        // s·Δ is purely imaginary; at DC (and for Δ so small
-                        // that ω·Δ underflows to zero) the cached system is
-                        // bit-identical, so keep its factorization warm.
-                        let imag = TAU * f64::from_bits(key) * delta;
-                        if imag != 0.0 {
-                            system.a[slot] += Complex::new(0.0, imag);
-                            system.lu.invalidate();
+                    for system in &mut engine.systems {
+                        // `C` does not enter the system at DC, so keep its
+                        // factorization warm.
+                        if f64::from_bits(system.key) != 0.0 {
+                            system.invalidate();
                         }
                     }
                 }
@@ -605,7 +752,7 @@ impl<'a> Mna<'a> {
                 }
             }
         }
-        engine.systems.clear();
+        engine.clear_systems();
     }
 
     /// Multiplies the scalar value of an element by `factor` (see
@@ -639,7 +786,64 @@ impl<'a> Mna<'a> {
     /// Drops all cached per-frequency systems (bounding memory for very long
     /// sweeps; they are rebuilt on demand).
     pub fn clear_system_cache(&self) {
-        self.engine.borrow_mut().systems.clear();
+        self.engine.borrow_mut().clear_systems();
+    }
+
+    /// Evaluates `f` with `element` at `value` in place of its current
+    /// value, without changing the engine: every solve inside `f` (through
+    /// [`Mna::gain`], [`Mna::solve_ac`], a
+    /// [`crate::response::ResponseAnalyzer`] on this engine, …) answers for
+    /// the deviated circuit by a rank-one (Sherman–Morrison) update of the
+    /// current per-frequency factorization.  No cached factorization is
+    /// invalidated, so a deviation search reuses the same warm systems for
+    /// every probe, and a probe's result does not depend on the engine's
+    /// history.  [`Mna::value`] keeps reporting the current value.
+    ///
+    /// A value whose coefficient change is not finite (a resistor probed at
+    /// exactly `0.0`) or that makes the system singular is reported as
+    /// [`AnalogError::SingularMatrix`] by the solves inside the probe.
+    ///
+    /// # Panics
+    ///
+    /// Panics if called inside another probe of the same engine.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use msatpg_analog::filters;
+    /// use msatpg_analog::mna::Mna;
+    ///
+    /// let filter = filters::rc_low_pass(1.0e3);
+    /// let c = filter.circuit();
+    /// let (cap, out) = (c.find_element("C1").unwrap(), filter.output_node());
+    /// let mna = Mna::new(c);
+    /// let nominal = mna.gain("Vin", out, 1.0e3).unwrap();
+    /// let doubled = mna.probe(cap, 2.0 * mna.value(cap), || mna.gain("Vin", out, 1.0e3));
+    /// assert!(doubled.unwrap() < nominal);
+    /// assert_eq!(mna.gain("Vin", out, 1.0e3).unwrap(), nominal);
+    /// ```
+    pub fn probe<T>(&self, element: ElementId, value: f64, f: impl FnOnce() -> T) -> T {
+        /// Ends the probe when `f` returns or unwinds.
+        struct EndProbe<'e>(&'e RefCell<Engine>);
+        impl Drop for EndProbe<'_> {
+            fn drop(&mut self) {
+                // `f` holds no borrow of the engine once it has returned or
+                // unwound; never panic in `drop` regardless.
+                if let Ok(mut engine) = self.0.try_borrow_mut() {
+                    engine.probe = None;
+                }
+            }
+        }
+        {
+            let mut engine = self.engine.borrow_mut();
+            assert!(engine.probe.is_none(), "Mna::probe calls do not nest");
+            engine.probe = Some(Probe {
+                element: element.index(),
+                value,
+            });
+        }
+        let _end = EndProbe(&self.engine);
+        f()
     }
 
     /// Solves the DC operating point (all capacitors open, inductors
@@ -649,7 +853,7 @@ impl<'a> Mna<'a> {
     ///
     /// Returns an error if the MNA matrix is singular.
     pub fn solve_dc(&self) -> Result<Solution, AnalogError> {
-        self.solve(0.0, &Drive::AllDc)
+        self.solve(0.0, Rhs::AllDc)
     }
 
     /// Solves the AC small-signal response at `freq_hz` with every source at
@@ -659,7 +863,7 @@ impl<'a> Mna<'a> {
     ///
     /// Returns an error if the MNA matrix is singular.
     pub fn solve_ac(&self, freq_hz: f64) -> Result<Solution, AnalogError> {
-        self.solve(freq_hz, &Drive::AllAc)
+        self.solve(freq_hz, Rhs::AllAc)
     }
 
     /// Solves at `freq_hz` with only the named source active at the given
@@ -676,18 +880,8 @@ impl<'a> Mna<'a> {
         magnitude: f64,
         freq_hz: f64,
     ) -> Result<Solution, AnalogError> {
-        if self.circuit.find_element(source).is_none() {
-            return Err(AnalogError::UnknownElement {
-                name: source.to_owned(),
-            });
-        }
-        self.solve(
-            freq_hz,
-            &Drive::Single {
-                source: source.to_owned(),
-                magnitude,
-            },
-        )
+        let source = self.source_id(source)?;
+        self.solve(freq_hz, Rhs::Single { source, magnitude })
     }
 
     /// Complex transfer function `V(output) / stimulus` from the named
@@ -702,11 +896,22 @@ impl<'a> Mna<'a> {
         output: NodeId,
         freq_hz: f64,
     ) -> Result<Complex, AnalogError> {
-        let sol = self.solve_single_source(source, 1.0, freq_hz)?;
-        Ok(sol.voltage(output))
+        let source = self.source_id(source)?;
+        let mut engine = self.engine.borrow_mut();
+        let rhs = Rhs::Single {
+            source,
+            magnitude: 1.0,
+        };
+        self.solve_in(&mut engine, freq_hz, rhs)?;
+        Ok(if output.is_ground() {
+            Complex::ZERO
+        } else {
+            engine.rhs[output.index() - 1]
+        })
     }
 
-    /// Gain magnitude `|V(output) / stimulus|` at `freq_hz`.
+    /// Gain magnitude `|V(output) / stimulus|` at `freq_hz`.  This is the
+    /// hot path of every sweep and search: it builds no [`Solution`].
     ///
     /// # Errors
     ///
@@ -715,102 +920,20 @@ impl<'a> Mna<'a> {
         Ok(self.transfer(source, output, freq_hz)?.abs())
     }
 
-    fn source_value(&self, id: ElementId, dc: f64, ac: f64, drive: &Drive) -> f64 {
-        match drive {
-            Drive::AllDc => dc,
-            Drive::AllAc => ac,
-            Drive::Single { source, magnitude } => {
-                if self.circuit.element(id).name == *source {
-                    *magnitude
-                } else {
-                    0.0
-                }
-            }
-        }
+    fn source_id(&self, source: &str) -> Result<ElementId, AnalogError> {
+        self.circuit
+            .find_element(source)
+            .ok_or_else(|| AnalogError::UnknownElement {
+                name: source.to_owned(),
+            })
     }
 
-    fn solve(&self, freq_hz: f64, drive: &Drive) -> Result<Solution, AnalogError> {
-        let n = self.n;
-        if n == 0 {
-            return Ok(Solution {
-                voltages: vec![Complex::ZERO; 1],
-                branch_currents: HashMap::new(),
-            });
-        }
+    fn solve(&self, freq_hz: f64, rhs: Rhs) -> Result<Solution, AnalogError> {
         let mut engine = self.engine.borrow_mut();
-        let engine = &mut *engine;
-        engine.stats.solves += 1;
-
-        let key = freq_hz.to_bits();
-        engine.tick += 1;
-        let tick = engine.tick;
-        if !engine.systems.contains_key(&key) {
-            // Bound memory only when a genuinely new frequency arrives, and
-            // evict the least-recently-used system rather than clearing
-            // wholesale: a bisection search oscillating over a fine grid
-            // keeps its entire warm working set factored.
-            if engine.systems.len() >= MAX_CACHED_SYSTEMS {
-                let coldest = engine
-                    .systems
-                    .iter()
-                    .min_by_key(|(_, s)| s.last_used)
-                    .map(|(&k, _)| k)
-                    .expect("cache at capacity is non-empty");
-                engine.systems.remove(&coldest);
-            }
-            engine.stats.assemblies += 1;
-            let omega = TAU * freq_hz;
-            let a = engine
-                .g
-                .iter()
-                .zip(&engine.c)
-                .map(|(&g, &c)| Complex::new(g, omega * c))
-                .collect();
-            engine.systems.insert(
-                key,
-                CachedSystem {
-                    a,
-                    lu: LuFactor::new(n),
-                    last_used: tick,
-                },
-            );
-        }
-        let system = engine
-            .systems
-            .get_mut(&key)
-            .expect("system was just inserted");
-        system.last_used = tick;
-        if !system.lu.is_factored() {
-            engine.stats.factorizations += 1;
-            system.lu.refactor_slice(&system.a)?;
-        }
-
-        // Right-hand side from the source pattern (reusing the buffer).
-        engine.rhs.iter_mut().for_each(|x| *x = Complex::ZERO);
-        for &(id, stamp, dc) in &self.rhs_stamps {
-            let ac = engine.values[id.index()];
-            let value = self.source_value(id, dc, ac, drive);
-            match stamp {
-                RhsStamp::Branch { row } => {
-                    engine.rhs[row as usize] = Complex::from_real(value);
-                }
-                RhsStamp::Nodal { plus, minus } => {
-                    if let Some(i) = plus {
-                        engine.rhs[i as usize] -= Complex::from_real(value);
-                    }
-                    if let Some(j) = minus {
-                        engine.rhs[j as usize] += Complex::from_real(value);
-                    }
-                }
-            }
-        }
-        system.lu.solve_in_place(&mut engine.rhs);
+        self.solve_in(&mut engine, freq_hz, rhs)?;
         let x = &engine.rhs;
-
         let mut voltages = vec![Complex::ZERO; self.circuit.node_count()];
-        for node_idx in 1..self.circuit.node_count() {
-            voltages[node_idx] = x[node_idx - 1];
-        }
+        voltages[1..].copy_from_slice(&x[..self.n_nodes]);
         let branch_currents = self
             .branch_elements
             .iter()
@@ -821,6 +944,170 @@ impl<'a> Mna<'a> {
             voltages,
             branch_currents,
         })
+    }
+
+    /// Solves at `freq_hz` for the given right-hand side, under the active
+    /// probe if any, and leaves the solution vector in `engine.rhs`.
+    fn solve_in(&self, engine: &mut Engine, freq_hz: f64, rhs: Rhs) -> Result<(), AnalogError> {
+        let n = self.n;
+        engine.stats.solves += 1;
+        if n == 0 {
+            return Ok(());
+        }
+        let key = freq_hz.to_bits();
+        engine.tick += 1;
+        let tick = engine.tick;
+        let slot = match engine.slots.get(&key) {
+            Some(&slot) => slot,
+            None => {
+                engine.stats.assemblies += 1;
+                engine.insert_system(key, n)
+            }
+        };
+        engine.last_used[slot] = tick;
+        let Engine {
+            g,
+            c,
+            values,
+            systems,
+            rhs: x,
+            assembly,
+            stats,
+            probe,
+            ..
+        } = engine;
+        let system = &mut systems[slot];
+        if !system.lu.is_factored() {
+            stats.factorizations += 1;
+            let omega = TAU * freq_hz;
+            for ((a, &g), &c) in assembly.iter_mut().zip(g.iter()).zip(c.iter()) {
+                *a = Complex::new(g, omega * c);
+            }
+            system.lu.refactor_slice(assembly)?;
+        }
+
+        // A probed source changes the right-hand side (only `AllAc` reads
+        // source values); such a solution is not cached.
+        let probe = *probe;
+        let source_probe = probe.filter(|p| {
+            rhs == Rhs::AllAc
+                && self
+                    .rhs_stamps
+                    .iter()
+                    .any(|(id, ..)| id.index() == p.element)
+        });
+        match &mut system.solution {
+            Some((cached, solution)) if *cached == rhs && source_probe.is_none() => {
+                x.copy_from_slice(solution);
+            }
+            slot => {
+                self.fill_rhs(x, values, rhs, source_probe);
+                system.lu.solve_in_place(x);
+                if source_probe.is_none() {
+                    match slot {
+                        Some((cached, solution)) => {
+                            *cached = rhs;
+                            solution.copy_from_slice(x);
+                        }
+                        None => *slot = Some((rhs, x.clone())),
+                    }
+                }
+            }
+        }
+
+        let Some((probe, update)) =
+            probe.and_then(|p| Some((p, self.rank_one[p.element].as_ref()?)))
+        else {
+            return Ok(());
+        };
+        let current = values[probe.element];
+        let delta = match update.dep {
+            Dep::Const => 0.0,
+            Dep::Value => probe.value - current,
+            Dep::Inverse => probe.value.recip() - current.recip(),
+        };
+        let delta = match update.target {
+            Target::G => Complex::from_real(delta),
+            Target::C => Complex::new(0.0, TAU * freq_hz * delta),
+        };
+        if delta == Complex::ZERO {
+            return Ok(());
+        }
+        let singular = AnalogError::SingularMatrix {
+            pivot: update.u[0].0,
+        };
+        if !delta.is_finite() {
+            return Err(singular);
+        }
+        // z = A⁻¹u depends only on the frequency and the element.
+        let z: &[Complex] = match &mut system.column {
+            Some((element, z)) if *element == probe.element => z,
+            slot => {
+                let mut z = match slot.take() {
+                    Some((_, z)) => z,
+                    None => vec![Complex::ZERO; n],
+                };
+                z.fill(Complex::ZERO);
+                for &(row, coefficient) in &update.u {
+                    z[row] = Complex::from_real(coefficient);
+                }
+                system.lu.solve_in_place(&mut z);
+                &slot.insert((probe.element, z)).1
+            }
+        };
+        let dot = |w: &[Complex]| {
+            update
+                .v
+                .iter()
+                .fold(Complex::ZERO, |acc, &(col, coefficient)| {
+                    acc + w[col] * coefficient
+                })
+        };
+        let denominator = Complex::ONE + delta * dot(z);
+        if denominator == Complex::ZERO || !denominator.is_finite() {
+            return Err(singular);
+        }
+        let scale = delta * dot(x) / denominator;
+        for (xi, &zi) in x.iter_mut().zip(z) {
+            *xi -= scale * zi;
+        }
+        stats.rank_one_solves += 1;
+        Ok(())
+    }
+
+    /// Writes the right-hand side of `rhs` into `b`; `probe` overrides the
+    /// AC value of a probed source.
+    fn fill_rhs(&self, b: &mut [Complex], values: &[f64], rhs: Rhs, probe: Option<Probe>) {
+        b.fill(Complex::ZERO);
+        for &(id, stamp, dc) in &self.rhs_stamps {
+            let value = match rhs {
+                Rhs::AllDc => dc,
+                Rhs::AllAc => match probe {
+                    Some(p) if p.element == id.index() => p.value,
+                    _ => values[id.index()],
+                },
+                Rhs::Single { source, magnitude } => {
+                    if source == id {
+                        magnitude
+                    } else {
+                        0.0
+                    }
+                }
+            };
+            match stamp {
+                RhsStamp::Branch { row } => {
+                    b[row as usize] = Complex::from_real(value);
+                }
+                RhsStamp::Nodal { plus, minus } => {
+                    if let Some(i) = plus {
+                        b[i as usize] -= Complex::from_real(value);
+                    }
+                    if let Some(j) = minus {
+                        b[j as usize] += Complex::from_real(value);
+                    }
+                }
+            }
+        }
     }
 }
 
@@ -1139,5 +1426,129 @@ mod tests {
         // Next solve re-assembles.
         let _ = mna.solve_ac(1000.0).unwrap();
         assert_eq!(mna.solver_stats().assemblies, 2);
+    }
+
+    /// One circuit with every element kind: an RLC section, a VCVS, a
+    /// finite-gain op-amp stage and an AC current source.
+    fn every_kind() -> (Circuit, NodeId) {
+        let mut c = Circuit::new();
+        let vin = c.node("vin");
+        let a = c.node("a");
+        let b = c.node("b");
+        let e = c.node("e");
+        let m = c.node("m");
+        let out = c.node("out");
+        c.voltage_source("Vin", vin, Circuit::GROUND, 1.0, 1.0);
+        c.resistor("R1", vin, a, 1.0e3);
+        c.inductor("L1", a, b, 10.0e-3);
+        c.capacitor("C1", b, Circuit::GROUND, 100.0e-9);
+        c.resistor("R2", b, Circuit::GROUND, 2.0e3);
+        c.vcvs("E1", e, Circuit::GROUND, b, Circuit::GROUND, 2.0);
+        c.resistor("R3", e, m, 1.0e3);
+        c.resistor("R4", m, out, 4.7e3);
+        c.capacitor("C2", m, out, 1.0e-9);
+        c.opamp(
+            "A1",
+            Circuit::GROUND,
+            m,
+            out,
+            OpAmpModel::FiniteGain {
+                a0: 1.0e4,
+                pole_hz: 100.0,
+            },
+        );
+        c.current_source("I1", Circuit::GROUND, out, 0.0, 1.0e-4);
+        c.resistor("R5", out, Circuit::GROUND, 10.0e3);
+        (c, out)
+    }
+
+    #[test]
+    fn probes_of_every_element_kind_match_rebuilt_circuits() {
+        let (c, out) = every_kind();
+        let mna = Mna::new(&c);
+        for (id, element) in c.iter() {
+            for factor in [0.5, 1.3, 3.0] {
+                let value = c.value(id) * factor;
+                let mut rebuilt = c.clone();
+                rebuilt.set_value(id, value);
+                let reference = Mna::new(&rebuilt);
+                for freq in [0.0, 50.0, 1.0e3, 5.0e3, 200.0e3] {
+                    let probed = mna.probe(id, value, || mna.solve_ac(freq)).unwrap();
+                    let expected = reference.solve_ac(freq).unwrap();
+                    let (x, y) = (probed.voltage(out), expected.voltage(out));
+                    assert!(
+                        (x - y).abs() <= 1e-10 * y.abs().max(1e-6),
+                        "{} x{factor} at {freq} Hz: {x} vs {y}",
+                        element.name
+                    );
+                    let gain = mna.probe(id, value, || mna.gain("Vin", out, freq)).unwrap();
+                    let expected = reference.gain("Vin", out, freq).unwrap();
+                    assert!((gain - expected).abs() <= 1e-10 * expected.max(1e-6));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn probes_leave_the_engine_and_its_factorizations_untouched() {
+        let (c, out) = every_kind();
+        let cap = c.find_element("C1").unwrap();
+        let mna = Mna::new(&c);
+        let freqs = [100.0, 1.0e3, 10.0e3];
+        let nominal: Vec<f64> = freqs
+            .iter()
+            .map(|&f| mna.gain("Vin", out, f).unwrap())
+            .collect();
+        let before = mna.solver_stats();
+        for factor in [0.2, 0.9, 1.1, 4.0] {
+            mna.probe(cap, factor * mna.value(cap), || {
+                for &f in &freqs {
+                    mna.gain("Vin", out, f).unwrap();
+                }
+            });
+        }
+        let after = mna.solver_stats();
+        assert_eq!(after.factorizations, before.factorizations);
+        assert_eq!(after.assemblies, before.assemblies);
+        assert_eq!(after.patches, before.patches);
+        assert_eq!(after.solves - before.solves, 12);
+        assert_eq!(after.rank_one_solves - before.rank_one_solves, 12);
+        assert_eq!(mna.value(cap), c.value(cap));
+        for (&f, &g) in freqs.iter().zip(&nominal) {
+            assert_eq!(mna.gain("Vin", out, f).unwrap(), g);
+        }
+    }
+
+    #[test]
+    fn probe_results_do_not_depend_on_engine_history() {
+        let (c, out) = every_kind();
+        let r2 = c.find_element("R2").unwrap();
+        let l1 = c.find_element("L1").unwrap();
+        let fresh = Mna::new(&c);
+        let expected = fresh.probe(r2, 700.0, || fresh.gain("Vin", out, 3.0e3).unwrap());
+        let used = Mna::new(&c);
+        used.probe(l1, 0.02, || used.gain("Vin", out, 3.0e3).unwrap());
+        used.gain("Vin", out, 3.0e3).unwrap();
+        let again = used.probe(r2, 700.0, || used.gain("Vin", out, 3.0e3).unwrap());
+        assert_eq!(again.to_bits(), expected.to_bits());
+    }
+
+    #[test]
+    fn probing_a_resistor_at_zero_is_singular() {
+        let (c, out) = rc_lowpass();
+        let r = c.find_element("R").unwrap();
+        let mna = Mna::new(&c);
+        let probed = mna.probe(r, 0.0, || mna.gain("Vin", out, 1.0e3));
+        assert!(matches!(probed, Err(AnalogError::SingularMatrix { .. })));
+        assert!(mna.gain("Vin", out, 1.0e3).is_ok());
+    }
+
+    #[test]
+    #[should_panic(expected = "do not nest")]
+    fn nested_probes_panic() {
+        let (c, _) = rc_lowpass();
+        let r = c.find_element("R").unwrap();
+        let mna = Mna::new(&c);
+        mna.probe(r, 1.0, || mna.probe(r, 2.0, || ()));
     }
 }

@@ -256,10 +256,10 @@ impl<'a> ResponseAnalyzer<'a> {
     }
 
     /// Creates an analyzer on a shared MNA engine.  All of the engine's
-    /// cached per-frequency systems — and any value patches applied through
-    /// [`Mna::set_value`] — are visible to the analyzer, which is how the
-    /// deviation analysis measures parameters of a perturbed circuit without
-    /// rebuilding anything.
+    /// cached per-frequency systems — and any deviation applied through
+    /// [`Mna::probe`] or [`Mna::set_value`] — are visible to the analyzer,
+    /// which is how the deviation analysis measures parameters of a
+    /// perturbed circuit without rebuilding anything.
     pub fn from_mna(mna: &'a Mna<'a>, source: &str, output: NodeId) -> Self {
         ResponseAnalyzer {
             mna: MnaHandle::Shared(mna),
@@ -308,37 +308,65 @@ impl<'a> ResponseAnalyzer<'a> {
     ///
     /// Propagates solver errors.
     pub fn peak(&self) -> Result<(f64, f64), AnalogError> {
+        let peak = self.search_peak()?;
+        Ok((peak.f_peak, peak.g_peak))
+    }
+
+    /// Sweeps the grid, then refines around the best sample by golden-section
+    /// search.
+    fn search_peak(&self) -> Result<PeakSearch, AnalogError> {
         let freqs = self.config.frequencies();
-        let mut best_i = 0usize;
-        let mut best_g = -1.0;
-        for (i, &f) in freqs.iter().enumerate() {
-            let g = self.gain_at(f)?;
-            if g > best_g {
-                best_g = g;
-                best_i = i;
+        let gains = freqs
+            .iter()
+            .map(|&f| self.gain_at(f))
+            .collect::<Result<Vec<f64>, AnalogError>>()?;
+        let mut best = 0usize;
+        for (i, &g) in gains.iter().enumerate() {
+            if g > gains[best] {
+                best = i;
             }
         }
-        // Refine around the best sample with golden-section search in log-f.
-        let lo = freqs[best_i.saturating_sub(1)];
-        let hi = freqs[(best_i + 1).min(freqs.len() - 1)];
-        if lo >= hi {
-            return Ok((freqs[best_i], best_g));
-        }
-        let (mut a, mut b) = (lo.ln(), hi.ln());
+        let lo = freqs[best.saturating_sub(1)];
+        let hi = freqs[(best + 1).min(freqs.len() - 1)];
+        let (f_peak, g_peak) = if lo >= hi {
+            (freqs[best], gains[best])
+        } else {
+            self.golden_section(lo, hi, 1.0)?
+        };
+        Ok(PeakSearch {
+            freqs,
+            gains,
+            best,
+            f_peak,
+            g_peak,
+        })
+    }
+
+    /// Golden-section search of `[lo, hi]` in log-frequency for the maximum
+    /// of `sign · gain` (`sign = -1` finds a minimum), one gain evaluation per
+    /// step, until the bracket is [`FREQUENCY_TOLERANCE`] wide.  Returns the
+    /// bracket's midpoint and the gain there.
+    fn golden_section(&self, lo: f64, hi: f64, sign: f64) -> Result<(f64, f64), AnalogError> {
         let phi = (5f64.sqrt() - 1.0) / 2.0;
-        for _ in 0..60 {
-            let c = b - phi * (b - a);
-            let d = a + phi * (b - a);
-            let gc = self.gain_at(c.exp())?;
-            let gd = self.gain_at(d.exp())?;
+        let objective = |x: f64| self.gain_at(x.exp()).map(|g| sign * g);
+        let (mut a, mut b) = (lo.ln(), hi.ln());
+        let mut c = b - phi * (b - a);
+        let mut d = a + phi * (b - a);
+        let mut gc = objective(c)?;
+        let mut gd = objective(d)?;
+        while b - a > FREQUENCY_TOLERANCE {
             if gc > gd {
-                b = d;
+                (b, d, gd) = (d, c, gc);
+                c = b - phi * (b - a);
+                gc = objective(c)?;
             } else {
-                a = c;
+                (a, c, gc) = (c, d, gd);
+                d = a + phi * (b - a);
+                gd = objective(d)?;
             }
         }
-        let f_peak = ((a + b) / 2.0).exp();
-        Ok((f_peak, self.gain_at(f_peak)?))
+        let f = ((a + b) / 2.0).exp();
+        Ok((f, self.gain_at(f)?))
     }
 
     /// Center frequency (frequency of maximum gain).
@@ -359,9 +387,7 @@ impl<'a> ResponseAnalyzer<'a> {
     /// [`AnalogError::ParameterNotFound`] if no low-side crossing exists in
     /// the sweep range; otherwise solver errors.
     pub fn low_cutoff(&self) -> Result<f64, AnalogError> {
-        let (f_peak, g_peak) = self.peak()?;
-        let threshold = g_peak / std::f64::consts::SQRT_2;
-        self.find_crossing(self.config.start_hz, f_peak, threshold, true)
+        self.cutoff(false)
     }
 
     /// High cut-off: the lowest frequency *above* the gain peak at which the
@@ -372,58 +398,89 @@ impl<'a> ResponseAnalyzer<'a> {
     /// [`AnalogError::ParameterNotFound`] if no high-side crossing exists in
     /// the sweep range; otherwise solver errors.
     pub fn high_cutoff(&self) -> Result<f64, AnalogError> {
-        let (f_peak, g_peak) = self.peak()?;
-        let threshold = g_peak / std::f64::consts::SQRT_2;
-        self.find_crossing(f_peak, self.config.stop_hz, threshold, false)
+        self.cutoff(true)
     }
 
-    /// Finds the −3 dB crossing inside `[lo, hi]`.  When `rising` is true the
-    /// gain is expected to rise through the threshold as frequency increases
-    /// (low-side skirt); otherwise to fall through it (high-side skirt).
-    fn find_crossing(
+    /// The −3 dB crossing nearest the peak on one side.  The peak search's
+    /// own grid samples are walked outward from the peak; the crossing is
+    /// bracketed by the first sample below `peak/√2` or, before it, by a
+    /// local minimum of the samples whose refined valley dips below the
+    /// threshold between two samples (passband ripple).  The bracket is then
+    /// bisected in log-frequency.
+    fn cutoff(&self, above: bool) -> Result<f64, AnalogError> {
+        let peak = self.search_peak()?;
+        let threshold = peak.g_peak / std::f64::consts::SQRT_2;
+        let (freqs, gains) = (&peak.freqs, &peak.gains);
+        let outward: Vec<usize> = if above {
+            (peak.best + 1..freqs.len()).collect()
+        } else {
+            (0..peak.best).rev().collect()
+        };
+        for i in outward {
+            // The sample on the peak side of `i`.
+            let inner = if above { i - 1 } else { i + 1 };
+            let far = if above { i + 1 } else { i.wrapping_sub(1) };
+            let crossing = if gains[i] < threshold {
+                Some(freqs[i])
+            } else if far < freqs.len() && gains[i] < gains[inner] && gains[i] <= gains[far] {
+                let (lo, hi) = (freqs[inner.min(far)], freqs[inner.max(far)]);
+                let (f_dip, g_dip) = self.golden_section(lo, hi, -1.0)?;
+                (g_dip < threshold).then_some(f_dip)
+            } else {
+                None
+            };
+            if let Some(outer) = crossing {
+                return if above {
+                    self.bisect_crossing(freqs[inner], outer, threshold, false)
+                } else {
+                    self.bisect_crossing(outer, freqs[inner], threshold, true)
+                };
+            }
+        }
+        Err(AnalogError::ParameterNotFound {
+            what: "-3 dB crossing".to_owned(),
+        })
+    }
+
+    /// Bisects, in log-frequency, the −3 dB crossing bracketed by `[lo, hi]`
+    /// until the bracket is [`FREQUENCY_TOLERANCE`] wide.  When `rising` is
+    /// true the gain rises through the threshold as frequency increases
+    /// (low-side skirt); otherwise it falls through it (high-side skirt).
+    fn bisect_crossing(
         &self,
         lo: f64,
         hi: f64,
         threshold: f64,
         rising: bool,
     ) -> Result<f64, AnalogError> {
-        // Bracket by scanning log-spaced points.
-        let steps = 200usize;
-        let (lln, hln) = (lo.ln(), hi.ln());
-        let mut prev_f = lo;
-        let mut prev_g = self.gain_at(lo)?;
-        let mut bracket = None;
-        for i in 1..=steps {
-            let f = (lln + (hln - lln) * i as f64 / steps as f64).exp();
-            let g = self.gain_at(f)?;
-            let crossed = if rising {
-                prev_g < threshold && g >= threshold
-            } else {
-                prev_g >= threshold && g < threshold
-            };
-            if crossed {
-                bracket = Some((prev_f, f));
-                break;
-            }
-            prev_f = f;
-            prev_g = g;
-        }
-        let (mut a, mut b) = bracket.ok_or(AnalogError::ParameterNotFound {
-            what: "-3 dB crossing".to_owned(),
-        })?;
-        for _ in 0..80 {
-            let mid = (a.ln() + b.ln()) / 2.0;
-            let f = mid.exp();
-            let g = self.gain_at(f)?;
-            let below = g < threshold;
+        let (mut a, mut b) = (lo.ln(), hi.ln());
+        while b - a > FREQUENCY_TOLERANCE {
+            let mid = (a + b) / 2.0;
+            let below = self.gain_at(mid.exp())? < threshold;
             if rising == below {
-                a = f;
+                a = mid;
             } else {
-                b = f;
+                b = mid;
             }
         }
-        Ok((a * b).sqrt())
+        Ok(((a + b) / 2.0).exp())
     }
+}
+
+/// Width, in natural-log frequency (so: relative frequency), at which the
+/// golden-section peak search and the −3 dB crossing bisection stop.  The
+/// gain is flat to ~1e-16 within 1e-8 of its peak, so a finer bracket
+/// would only follow rounding noise.
+pub const FREQUENCY_TOLERANCE: f64 = 1e-8;
+
+/// The grid samples of a peak search and its refined maximum.
+struct PeakSearch {
+    freqs: Vec<f64>,
+    gains: Vec<f64>,
+    /// Index of the best grid sample.
+    best: usize,
+    f_peak: f64,
+    g_peak: f64,
 }
 
 #[cfg(test)]
@@ -458,6 +515,92 @@ mod tests {
         c.resistor("R3", vminus, vout, 100.0e3);
         c.opamp("A1", Circuit::GROUND, vminus, vout, OpAmpModel::Ideal);
         (c, vout)
+    }
+
+    /// Three series-RLC band-pass lobes (Q = 2) summed by stacked VCVSs:
+    /// 0.8 at 100 Hz, 1.0 at 10 kHz and 0.8 at 1 MHz.  The side lobes rise
+    /// above `peak/√2`, so the response crosses the −3 dB level several
+    /// times on each side of the 10 kHz peak.
+    fn three_lobes() -> (Circuit, NodeId) {
+        let mut c = Circuit::new();
+        let vin = c.node("vin");
+        c.voltage_source("Vin", vin, Circuit::GROUND, 0.0, 1.0);
+        let mut lower = Circuit::GROUND;
+        for (k, (f0, weight)) in [(100.0, 0.8), (10.0e3, 1.0), (1.0e6, 0.8)]
+            .into_iter()
+            .enumerate()
+        {
+            let omega = std::f64::consts::TAU * f0;
+            let (mid, tap) = (c.node(&format!("m{k}")), c.node(&format!("x{k}")));
+            c.inductor(&format!("L{k}"), vin, mid, 2000.0 / omega);
+            c.capacitor(&format!("C{k}"), mid, tap, 1.0 / (2000.0 * omega));
+            c.resistor(&format!("R{k}"), tap, Circuit::GROUND, 1.0e3);
+            let upper = c.node(&format!("s{k}"));
+            c.vcvs(&format!("E{k}"), upper, lower, tap, Circuit::GROUND, weight);
+            lower = upper;
+        }
+        (c, lower)
+    }
+
+    #[test]
+    fn cutoffs_are_the_crossings_nearest_the_peak() {
+        let (c, out) = three_lobes();
+        let an = ResponseAnalyzer::new(&c, "Vin", out);
+        let (f0, g0) = an.peak().unwrap();
+        assert!((f0 - 10.0e3).abs() < 200.0, "peak at {f0} Hz");
+        let threshold = g0 / std::f64::consts::SQRT_2;
+        // The 100 Hz lobe crosses the threshold too; the low cut-off is the
+        // crossing just below the peak (≈ 7.8 kHz for Q = 2), not the first
+        // rising crossing above the sweep start.
+        let fl = an.low_cutoff().unwrap();
+        let fh = an.high_cutoff().unwrap();
+        assert!(fl > 5.0e3 && fl < f0, "low cut-off {fl} Hz");
+        assert!(fh > f0 && fh < 20.0e3, "high cut-off {fh} Hz");
+        for f in [fl, fh] {
+            let g = an.gain_at(f).unwrap();
+            assert!(
+                (g - threshold).abs() < 1e-6 * threshold,
+                "gain {g} at {f} Hz"
+            );
+        }
+        assert!(an.gain_at(100.0).unwrap() > threshold);
+        assert!(an.gain_at(1.0e6).unwrap() > threshold);
+    }
+
+    #[test]
+    fn a_valley_between_sweep_samples_is_a_crossing() {
+        // A low-pass (fc ≈ 100 kHz) with a narrow series-LC notch at 2 kHz
+        // that dips below `peak/√2` between two sweep samples, both well
+        // above it: the high cut-off is the notch's lower skirt, not the
+        // 100 kHz roll-off.
+        let mut c = Circuit::new();
+        let vin = c.node("vin");
+        let (out, mid, tap, lp) = (c.node("out"), c.node("mid"), c.node("tap"), c.node("lp"));
+        c.voltage_source("Vin", vin, Circuit::GROUND, 0.0, 1.0);
+        c.resistor("Rs", vin, out, 1.0e3);
+        let notch_hz = 2.0e3;
+        let lc = (std::f64::consts::TAU * notch_hz).powi(-2);
+        c.inductor("L", out, mid, 1.0);
+        c.capacitor("C", mid, tap, lc);
+        c.resistor("Rn", tap, Circuit::GROUND, 40.0);
+        c.resistor("R2", out, lp, 100.0e3);
+        c.capacitor("C2", lp, Circuit::GROUND, 15.9e-12);
+        let sweep = SweepConfig {
+            start_hz: 1.0,
+            stop_hz: 1.0e6,
+            points_per_decade: 5,
+        };
+        let an = ResponseAnalyzer::new(&c, "Vin", lp).with_sweep(sweep);
+        let (_, g0) = an.peak().unwrap();
+        let threshold = g0 / std::f64::consts::SQRT_2;
+        assert!(an.gain_at(notch_hz).unwrap() < threshold);
+        for f in sweep.frequencies().into_iter().filter(|&f| f < 50.0e3) {
+            assert!(an.gain_at(f).unwrap() > threshold, "sample {f} Hz");
+        }
+        let fh = an.high_cutoff().unwrap();
+        assert!(fh > 1.8e3 && fh < notch_hz, "high cut-off {fh} Hz");
+        let g = an.gain_at(fh).unwrap();
+        assert!((g - threshold).abs() < 1e-6 * threshold);
     }
 
     #[test]

@@ -32,10 +32,9 @@ pub fn normalized_sensitivity(
     normalized_sensitivity_with_mna(&mna, spec, element, step)
 }
 
-/// Like [`normalized_sensitivity`], but probes an existing MNA engine by
-/// patching the element value up and down instead of cloning and re-stamping
-/// the circuit twice.  The engine is restored to its current value on
-/// return.
+/// Like [`normalized_sensitivity`], but probes an existing MNA engine
+/// ([`Mna::probe`]) instead of cloning and re-stamping the circuit twice.
+/// The engine is left unchanged.
 ///
 /// # Errors
 ///
@@ -51,13 +50,16 @@ pub fn normalized_sensitivity_with_mna(
         return Ok(0.0);
     }
     let base = mna.value(element);
-    mna.set_value(element, base * (1.0 + step));
-    let t_up = measure_with_mna(mna, spec);
-    mna.set_value(element, base * (1.0 - step));
-    let t_down = measure_with_mna(mna, spec);
-    mna.set_value(element, base);
-    Ok(((t_up? - t_down?) / nominal) / (2.0 * step))
+    let t_up = mna.probe(element, base * (1.0 + step), || measure_with_mna(mna, spec))?;
+    let t_down = mna.probe(element, base * (1.0 - step), || measure_with_mna(mna, spec))?;
+    Ok(((t_up - t_down) / nominal) / (2.0 * step))
 }
+
+/// Relative width at which the bisection of a directional deviation
+/// threshold stops: the reported deviation is at most this fraction above
+/// the exact threshold.  Deviations the paper prints at 0.1 % resolution
+/// need nothing finer.
+pub const DEVIATION_TOLERANCE: f64 = 1e-6;
 
 /// One row of a [`DeviationReport`]: the detectable deviation of one element
 /// through one parameter.
@@ -199,10 +201,12 @@ impl<'a> WorstCaseAnalysis<'a> {
     }
 
     /// Sets the execution policy: deviation rows are independent, so they
-    /// are distributed over the worker pool.  Each unit of work probes its
-    /// own freshly stamped MNA engine, which makes the report a pure
-    /// function of the inputs — `Threads(n)` output is byte-identical to
-    /// `Serial` for every `n` (asserted by the determinism suite).
+    /// are distributed over the worker pool.  Every probe is a rank-one
+    /// update of the engine's nominal systems ([`Mna::probe`]), whose result
+    /// does not depend on what the engine solved before, which makes the
+    /// report a pure function of the inputs — `Threads(n)` output is
+    /// byte-identical to `Serial` for every `n` (asserted by the determinism
+    /// suite).
     pub fn with_policy(mut self, policy: ExecPolicy) -> Self {
         self.policy = policy;
         self
@@ -242,17 +246,16 @@ impl<'a> WorstCaseAnalysis<'a> {
 
     /// Runs the analysis.
     ///
-    /// Each unit of work — one element's sensitivity, one element's
-    /// threshold search — probes its own freshly stamped MNA engine
-    /// ([`Mna::new`] is one linear pass; the thousands of solves a row
-    /// performs dwarf it), patching the faulty element's value and reusing
-    /// the engine's per-frequency factorization cache across the bracketing
-    /// and bisection probes.  Rows are independent, so they run on the
-    /// worker pool under the configured [`ExecPolicy`] and are merged back
-    /// in `(parameter, element)` order; because every unit starts from a
-    /// fresh engine the report does not depend on the policy or on the
-    /// scheduling order.  The worst-case masking sensitivities are computed
-    /// once per parameter and shared across all faulty-element rows.
+    /// Every worker owns one MNA engine for the whole run.  Each deviation
+    /// probe — one step of an element's sensitivity or threshold search —
+    /// is a rank-one update of that engine's nominal per-frequency
+    /// factorizations ([`Mna::probe`]), so the engine is never patched,
+    /// its warm systems serve every row it claims, and a row's value does
+    /// not depend on which worker computed it.  Rows are independent, so
+    /// they run on the worker pool under the configured [`ExecPolicy`] and
+    /// are merged back in `(parameter, element)` order.  The worst-case
+    /// masking sensitivities are computed once per `(parameter, element)`
+    /// pair and shared across all faulty-element rows of the parameter.
     ///
     /// # Errors
     ///
@@ -279,71 +282,70 @@ impl<'a> WorstCaseAnalysis<'a> {
             .iter()
             .map(|&id| (id, self.circuit.element(id).name.clone()))
             .collect();
-        let mut rows = Vec::new();
-        for spec in self.parameters {
-            let nominal = measure_with_mna(&Mna::new(self.circuit), spec)?;
-            // First-order masking margins contributed by fault-free
-            // elements: Σ_{j≠faulty} |S_j| · tol_element.  The sensitivities
-            // depend only on (parameter, element), so compute each once and
-            // derive every row's margin from the shared total.
-            let sensitivities: Vec<f64> = if self.worst_case && nominal != 0.0 {
-                let per_element = pool.run_chunks(
-                    &elements,
-                    1,
-                    || (),
-                    |(), _, _, chunk| {
-                        let mna = Mna::new(self.circuit);
-                        chunk
-                            .iter()
-                            .map(|&e| normalized_sensitivity_with_mna(&mna, spec, e, 0.01))
-                            .collect::<Result<Vec<f64>, AnalogError>>()
-                    },
-                );
-                let mut flat = Vec::with_capacity(elements.len());
-                for chunk in per_element {
-                    flat.extend(chunk?);
-                }
-                flat
-            } else {
-                vec![0.0; elements.len()]
-            };
-            let total_abs: f64 = sensitivities.iter().map(|s| s.abs()).sum();
-            // Chunk size 1 (fresh engine per element) is deliberate, not an
-            // oversight: value patches update the stamped matrices by
-            // *delta* (`g += Δ`, restored by the inverse delta), which is
-            // not bit-exact, so an engine shared across rows accumulates
-            // history-dependent last-ulp drift.  A per-worker engine would
-            // therefore make the report depend on which rows a worker
-            // happened to claim — breaking the byte-identity guarantee.
-            // The per-row engine build is one linear stamping pass, dwarfed
-            // by the row's bracketing/bisection solves.
-            let row_chunks = pool.run_chunks(
-                &elements,
-                1,
-                || (),
-                |(), _, offset, chunk| {
-                    let mna = Mna::new(self.circuit);
-                    chunk
-                        .iter()
-                        .enumerate()
-                        .map(|(k, &element)| {
-                            let mask = (total_abs - sensitivities[offset + k].abs())
-                                * self.element_tolerance.fraction();
-                            let detectable = self
-                                .minimum_detectable_deviation(&mna, spec, element, nominal, mask)?;
-                            Ok(DeviationRow {
-                                parameter: spec.name.clone(),
-                                element: self.circuit.element(element).name.clone(),
-                                element_id: element,
-                                detectable_deviation: detectable,
-                            })
-                        })
-                        .collect::<Result<Vec<DeviationRow>, AnalogError>>()
-                },
-            );
-            for chunk in row_chunks {
-                rows.extend(chunk?);
+        let nominals = {
+            let mna = Mna::new(self.circuit);
+            self.parameters
+                .iter()
+                .map(|spec| measure_with_mna(&mna, spec))
+                .collect::<Result<Vec<f64>, AnalogError>>()?
+        };
+        // One work unit per (parameter, element) pair, parameter-major.
+        let pairs: Vec<(usize, ElementId)> = (0..self.parameters.len())
+            .flat_map(|p| elements.iter().map(move |&e| (p, e)))
+            .collect();
+        let engine = || Mna::new(self.circuit);
+        // First-order masking margins contributed by fault-free elements:
+        // Σ_{j≠faulty} |S_j| · tol_element.  The sensitivities depend only
+        // on (parameter, element), so compute each once and derive every
+        // row's margin from the parameter's shared total.
+        let sensitivities: Vec<f64> = if self.worst_case {
+            let chunks = pool.run_chunks(&pairs, 1, engine, |mna, _, _, chunk| {
+                chunk
+                    .iter()
+                    .map(|&(p, e)| {
+                        if nominals[p] == 0.0 {
+                            return Ok(0.0);
+                        }
+                        normalized_sensitivity_with_mna(mna, &self.parameters[p], e, 0.01)
+                    })
+                    .collect::<Result<Vec<f64>, AnalogError>>()
+            });
+            let mut flat = Vec::with_capacity(pairs.len());
+            for chunk in chunks {
+                flat.extend(chunk?);
             }
+            flat
+        } else {
+            vec![0.0; pairs.len()]
+        };
+        let totals: Vec<f64> = (0..self.parameters.len())
+            .map(|p| {
+                let row = &sensitivities[p * elements.len()..(p + 1) * elements.len()];
+                row.iter().map(|s| s.abs()).sum()
+            })
+            .collect();
+        let row_chunks = pool.run_chunks(&pairs, 1, engine, |mna, _, offset, chunk| {
+            chunk
+                .iter()
+                .enumerate()
+                .map(|(k, &(p, element))| {
+                    let spec = &self.parameters[p];
+                    let mask = (totals[p] - sensitivities[offset + k].abs())
+                        * self.element_tolerance.fraction();
+                    let detectable =
+                        self.minimum_detectable_deviation(mna, spec, element, nominals[p], mask)?;
+                    Ok(DeviationRow {
+                        parameter: spec.name.clone(),
+                        element: self.circuit.element(element).name.clone(),
+                        element_id: element,
+                        detectable_deviation: detectable,
+                    })
+                })
+                .collect::<Result<Vec<DeviationRow>, AnalogError>>()
+        });
+        let mut rows = Vec::with_capacity(pairs.len());
+        for chunk in row_chunks {
+            rows.extend(chunk?);
         }
         Ok(DeviationReport {
             rows,
@@ -385,36 +387,33 @@ impl<'a> WorstCaseAnalysis<'a> {
     ) -> Result<Option<f64>, AnalogError> {
         let base = mna.value(element);
         let effect = |deviation: f64| -> Result<f64, AnalogError> {
-            mna.set_value(element, base * (1.0 + sign * deviation));
-            let value = measure_with_mna(mna, spec);
-            mna.set_value(element, base);
-            Ok(relative_deviation(value?, nominal).abs())
+            let value = mna.probe(element, base * (1.0 + sign * deviation), || {
+                measure_with_mna(mna, spec)
+            })?;
+            Ok(relative_deviation(value, nominal).abs())
         };
-        // Exponential bracketing.
+        // Exponential bracketing up to the cap, which is probed itself.
+        // Negative deviations cannot exceed -100 % (element value would go
+        // non-positive); clamp the search at -99.9 %.
+        let cap = if sign < 0.0 {
+            self.max_deviation.min(0.999)
+        } else {
+            self.max_deviation
+        };
         let mut lo = 0.0f64;
-        let mut hi = 0.01f64;
-        let mut found = false;
-        while hi <= self.max_deviation {
-            // Negative deviations cannot exceed -100 % (element value would
-            // go non-positive); clamp the search there.
-            if sign < 0.0 && hi >= 0.999 {
-                hi = 0.999;
-            }
+        let mut hi = cap.min(0.01);
+        loop {
             if effect(hi)? > threshold {
-                found = true;
                 break;
             }
-            if sign < 0.0 && hi >= 0.999 {
-                break;
+            if hi >= cap {
+                return Ok(None);
             }
             lo = hi;
-            hi *= 1.6;
+            hi = cap.min(hi * 1.6);
         }
-        if !found {
-            return Ok(None);
-        }
-        // Bisection refinement.
-        for _ in 0..50 {
+        // Bisection refinement down to the relative tolerance.
+        while hi - lo > DEVIATION_TOLERANCE * hi {
             let mid = 0.5 * (lo + hi);
             if effect(mid)? > threshold {
                 hi = mid;
@@ -512,6 +511,31 @@ mod tests {
         assert_eq!(r3.1, None);
         let r1 = coverage.iter().find(|(n, _)| n == "R1").unwrap();
         assert!(r1.1.is_some());
+    }
+
+    #[test]
+    fn the_search_probes_its_cap() {
+        // With the cap between the threshold and the next 1.6× bracket
+        // point, only a probe at the cap itself detects the deviation.
+        let c = divider();
+        let specs = vec![dc_spec()];
+        let analysis = |cap: f64| {
+            WorstCaseAnalysis::new(&c, &specs)
+                .with_worst_case(false)
+                .with_max_deviation(cap)
+                .run()
+                .unwrap()
+                .deviation("Adc", "R2")
+        };
+        let open = analysis(5.0).unwrap();
+        let next_bracket = (0..)
+            .map(|k| 0.01 * 1.6f64.powi(k))
+            .find(|&x| x > open)
+            .unwrap();
+        let cap = 0.5 * (open + next_bracket);
+        let capped = analysis(cap).expect("the cap is probed");
+        assert!((capped - open).abs() <= 1e-6 * open, "{capped} vs {open}");
+        assert_eq!(analysis(0.99 * open), None);
     }
 
     #[test]

@@ -5,6 +5,7 @@
 //!
 //! Run with `cargo run --release -p msatpg-bench --bin table8_state_variable`.
 
+use msatpg_analog::coverage::CoverageGraph;
 use msatpg_analog::fault::AnalogFault;
 use msatpg_analog::params::measure;
 use msatpg_analog::sensitivity::WorstCaseAnalysis;
@@ -29,6 +30,8 @@ fn main() {
         .run()
         .expect("worst-case analysis succeeds");
 
+    let graph = CoverageGraph::from_report(&report);
+
     // Propagation check through the digital block of the board.
     let atpg = MixedSignalAtpg::new(mixed);
     let analog_tests = atpg
@@ -47,13 +50,7 @@ fn main() {
     );
     for (element_id, element) in report.elements() {
         // Best parameter and CD for this component.
-        let Some((parameter, cd)) = report
-            .rows()
-            .iter()
-            .filter(|r| &r.element == element)
-            .filter_map(|r| r.detectable_deviation.map(|d| (r.parameter.clone(), d)))
-            .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
-        else {
+        let Some((parameter, cd)) = graph.best_parameter(element) else {
             table.add_row(vec![
                 "-".to_owned(),
                 element.clone(),
@@ -81,7 +78,7 @@ fn main() {
             .map(|e| if e.outcome.is_tested() { "yes" } else { "no" })
             .unwrap_or("-");
         table.add_row(vec![
-            parameter,
+            parameter.to_owned(),
             element.clone(),
             format!("{:.1}", cd * 100.0),
             format!("{:.1}", mpd * 100.0),

@@ -4,7 +4,7 @@
 
 use std::path::PathBuf;
 
-use msatpg_analog::coverage::CoverageGraph;
+use msatpg_analog::coverage::{rank_deviations, CoverageGraph};
 use msatpg_analog::sensitivity::{DeviationReport, WorstCaseAnalysis};
 use msatpg_bdd::BddBudget;
 use msatpg_conversion::fault::ladder_coverage;
@@ -327,23 +327,19 @@ impl MixedSignalAtpg {
         for (element_id, element_name) in deviations.elements() {
             // Rank the parameters for this element by detectable deviation
             // (the paper tests "the parameter that is the most sensitive to a
-            // deviation in the element" first).
-            let mut ranked: Vec<(String, f64)> = deviations
+            // deviation in the element" first), near-equal deviations in
+            // declaration order.
+            let ranked: Vec<(&str, f64)> = deviations
                 .rows()
                 .iter()
                 .filter(|r| &r.element == element_name)
-                .filter_map(|r| r.detectable_deviation.map(|d| (r.parameter.clone(), d)))
+                .filter_map(|r| r.detectable_deviation.map(|d| (r.parameter.as_str(), d)))
                 .collect();
-            ranked.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
-            let ranking: Vec<_> = ranked
+            let order = rank_deviations(&ranked.iter().map(|r| r.1).collect::<Vec<f64>>());
+            let ranking: Vec<_> = order
                 .iter()
-                .filter_map(|(name, _)| {
-                    analog
-                        .parameters()
-                        .iter()
-                        .find(|p| &p.name == name)
-                        .cloned()
-                })
+                .map(|&i| ranked[i].0)
+                .filter_map(|name| analog.parameters().iter().find(|p| p.name == name).cloned())
                 .collect();
             let Some(best) = graph.best_deviation(element_name) else {
                 slots.push(Some(AnalogTestEntry {

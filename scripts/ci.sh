@@ -56,4 +56,13 @@ done
 echo "==> perf-regression smoke (bench_kernels --check)"
 cargo run --release -p msatpg-bench --bin bench_kernels -- --check
 
+echo "==> flowbench tests"
+cargo test --release --offline --manifest-path flowbench/Cargo.toml
+
+echo "==> flowbench smoke (fig4_flow for 3 s, must report \"failed\": 0)"
+result=$(cargo run --release --quiet --offline --manifest-path flowbench/Cargo.toml -- \
+    --workload fig4_flow --seed 1 --seconds 3 --trace 0 | tail -n 1)
+echo "${result}"
+grep -q '"failed": 0,' <<<"${result}"
+
 echo "==> CI passed"

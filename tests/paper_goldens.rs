@@ -11,12 +11,25 @@
 //!
 //! The values were recorded with the fixed-iteration searches that preceded
 //! the tolerance-driven ones, so they pin the numerics across that change.
+//! Two cells differ from that recording, both corrected defects of the old
+//! searches:
+//!
+//! * Table 3's E.D.(fc, C4) was 15.42 %: the old 201-point −3 dB scan
+//!   stepped over a passband ripple valley that dips below the −3 dB level
+//!   from a 15.13 % decrease of C4 on.  The cell pins the corrected onset,
+//!   which `table3_fc_c4_cell_is_the_ripple_valley_onset` checks against a
+//!   dense frequency scan.
+//! * Example 1's worst-case E.D.(fc1, Rd) was `-`: the old bracketing never
+//!   probed past its last 1.6× step (450.4 %) below the 500 % cap, so the
+//!   453.8 % threshold was out of its reach.
+//!
 //! Numeric cells match within 0.1 percentage point (1e-3 as a fraction, the
 //! precision the paper prints); `-` cells (no detectable deviation up to the
 //! search cap) match exactly.
 
 use msatpg::analog::coverage::CoverageGraph;
 use msatpg::analog::filters;
+use msatpg::analog::mna::Mna;
 use msatpg::analog::sensitivity::{DeviationReport, WorstCaseAnalysis};
 use msatpg::analog::FilterCircuit;
 
@@ -37,7 +50,7 @@ const BAND_PASS_WORST_CASE: &str = "
 A1  11.1111  10.0005      -        -        -        -        -        -
 A2  18.9451      -    15.7252      -        -        -        -        -
 f0      -        -    46.9262  46.9262  46.9262  46.9262  38.0644  46.9261
-fc1     -        -    86.0372  43.8421  43.8421  43.8421  35.6197  43.8421
+fc1     -   453.7954  86.0372  43.8421  43.8421  43.8421  35.6197  43.8421
 fc2     -   361.1969  32.0443  66.4609  66.4609  66.4609  49.2902  66.4609
 ";
 
@@ -55,7 +68,7 @@ fh1        -        -        -    33.2815  49.0746  49.0746      -        -     
 const CHEBYSHEV_NOMINAL: &str = "
        R9      R10       R1       R2       C1       R3       R4       C3       C2       R5       R6       C5       C4       R7       R8
 Adc  9.1038  12.7237   6.2378   5.0000      -        -        -        -        -        -        -        -        -     5.2632   5.0000
-fc      -        -        -        -        -        -        -        -        -    14.9479  14.9479  11.5117  15.4200      -        -
+fc      -        -        -        -        -        -        -        -        -    14.9479  14.9479  11.5117  15.1318      -        -
 A1   9.1038  12.7237   6.2378   7.5693  16.0281  77.1430  77.1430 218.1986  55.2198      -        -        -        -     5.2632   5.0000
 A2   9.1038  12.7237   6.2378  16.5800   8.0133  22.6346  22.6346  62.9900  13.1502  27.8131  27.8131  28.2260  27.3400   5.2632   5.0000
 A3   9.1038  12.7237   6.2378  61.6697   6.1690   7.3950   7.3950   4.2429  35.1953   5.8213   5.8213   6.0003   5.6471   5.2632   5.0000
@@ -111,7 +124,11 @@ fn assert_matches_golden(report: &DeviationReport, golden: &str, artifact: &str)
             }
         }
     }
-    assert_eq!(report.parameters(), parameters, "{artifact}: parameter order");
+    assert_eq!(
+        report.parameters(),
+        parameters,
+        "{artifact}: parameter order"
+    );
 }
 
 #[test]
@@ -146,4 +163,34 @@ fn table8_board_worst_case_matrix() {
 fn table3_chebyshev_nominal_matrix() {
     let filter = filters::fifth_order_chebyshev();
     assert_matches_golden(&report(&filter, false), CHEBYSHEV_NOMINAL, "Table 3");
+}
+
+#[test]
+fn table3_fc_c4_cell_is_the_ripple_valley_onset() {
+    // A decrease of C4 deepens the passband ripple valley near 900 Hz.  The
+    // Chebyshev gain peaks at DC, so fc moves by far more than 5 % once the
+    // valley dips below `DC gain/√2`: a dense scan (0.01 % frequency steps)
+    // puts that onset between a 15.10 % and a 15.16 % decrease.
+    let filter = filters::fifth_order_chebyshev();
+    let c4 = filter.circuit().find_element("C4").expect("C4 exists");
+    let valley_below_threshold = |decrease: f64| {
+        let mut circuit = filter.circuit().clone();
+        circuit.scale_value(c4, 1.0 - decrease);
+        let output = filter.output_node();
+        let mna = Mna::new(&circuit);
+        let threshold = mna.gain("Vin", output, 0.0).expect("solves") / 2f64.sqrt();
+        let mut f = 800.0;
+        let mut lowest = f64::INFINITY;
+        while f < 1000.0 {
+            lowest = lowest.min(mna.gain("Vin", output, f).expect("solves"));
+            f *= 1.0001;
+        }
+        lowest < threshold
+    };
+    assert!(!valley_below_threshold(0.1510));
+    assert!(valley_below_threshold(0.1516));
+    let d = report(&filter, false)
+        .deviation("fc", "C4")
+        .expect("fc detects C4");
+    assert!(d > 0.1510 && d < 0.1516, "E.D.(fc, C4) = {d}");
 }

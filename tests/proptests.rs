@@ -634,6 +634,67 @@ fn patched_mna_matches_rebuilt_circuit() {
     }
 }
 
+/// A rank-one deviation probe ([`Mna::probe`]) gives the same response as
+/// stamping a freshly deviated circuit, for random R, C and L elements of a
+/// doubly terminated LC ladder and of the band-pass filter, at random
+/// deviations from −99.9 % to +300 % (the extremes always included).
+#[test]
+fn rank_one_probe_matches_rebuilt_circuit() {
+    use msatpg::analog::filters;
+    use msatpg::analog::mna::Mna;
+    use msatpg::analog::netlist::Circuit;
+    let mut ladder = Circuit::new();
+    let (vin, n1, n2, n3) = (
+        ladder.node("vin"),
+        ladder.node("n1"),
+        ladder.node("n2"),
+        ladder.node("vout"),
+    );
+    ladder.voltage_source("Vin", vin, Circuit::GROUND, 0.0, 1.0);
+    ladder.resistor("Rs", vin, n1, 50.0);
+    ladder.capacitor("C1", n1, Circuit::GROUND, 3.2e-6);
+    ladder.inductor("L1", n1, n2, 16.0e-3);
+    ladder.capacitor("C2", n2, Circuit::GROUND, 3.2e-6);
+    ladder.inductor("L2", n2, n3, 16.0e-3);
+    ladder.resistor("Rl", n3, Circuit::GROUND, 50.0);
+    let band_pass = filters::second_order_band_pass();
+    let cases = [
+        (ladder.clone(), ladder.find_node("vout").unwrap()),
+        (band_pass.circuit().clone(), band_pass.output_node()),
+    ];
+    let mut rng = SplitMix64::new(0x5EED_0001);
+    for (circuit, output) in &cases {
+        let passive = circuit.passive_elements();
+        let mna = Mna::new(circuit);
+        for case in 0..CASES {
+            let element = passive[rng.below(passive.len())];
+            let deviation = match case % 8 {
+                0 => -0.999,
+                1 => -0.99,
+                2 => 3.0,
+                _ => -0.999 + rng.f64() * 3.999,
+            };
+            let value = circuit.value(element) * (1.0 + deviation);
+            let mut rebuilt = circuit.clone();
+            rebuilt.set_value(element, value);
+            let reference = Mna::new(&rebuilt);
+            for &freq in &[0.0, 10.0, 400.0, 1.0e3, 2.5e3, 40.0e3, 1.0e6] {
+                let a = mna
+                    .probe(element, value, || mna.gain("Vin", *output, freq))
+                    .unwrap();
+                let b = reference.gain("Vin", *output, freq).unwrap();
+                assert!(
+                    (a - b).abs() <= 1e-9 * b.max(1e-6),
+                    "{} at {:+.1} %: probed {a} vs rebuilt {b} at {freq} Hz",
+                    circuit.element(element).name,
+                    deviation * 100.0
+                );
+            }
+        }
+        assert_eq!(mna.solver_stats().patches, 0, "probes never patch");
+    }
+}
+
 /// The worker pool must be invisible in every output: whatever the thread
 /// count, a parallel run is byte-identical to the serial run.  `cpu` is the
 /// only [`AtpgReport`] field allowed to differ (wall-clock is inherently
@@ -804,9 +865,9 @@ fn parallel_deviation_analysis_is_byte_identical_to_serial() {
     use msatpg::analog::filters;
     use msatpg::analog::sensitivity::WorstCaseAnalysis;
     let filter = filters::second_order_band_pass();
-    // The two gain parameters keep the matrix small enough for a test while
-    // still exercising bracketing, bisection and masking.
-    let specs = &filter.parameters()[..2];
+    // Gain, peak and cut-off parameters: every kind of search, each worker
+    // reusing its one engine across the rows it claims.
+    let specs = filter.parameters();
     for worst_case in [false, true] {
         let reference = WorstCaseAnalysis::new(filter.circuit(), specs)
             .with_worst_case(worst_case)
