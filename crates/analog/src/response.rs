@@ -417,12 +417,14 @@ impl<'a> ResponseAnalyzer<'a> {
             (0..peak.best).rev().collect()
         };
         for i in outward {
-            // The sample on the peak side of `i`.
+            // The neighbouring samples on the peak side and the far side.
             let inner = if above { i - 1 } else { i + 1 };
-            let far = if above { i + 1 } else { i.wrapping_sub(1) };
+            let far = if above { Some(i + 1) } else { i.checked_sub(1) };
+            let valley =
+                far.filter(|&j| j < freqs.len() && gains[i] < gains[inner] && gains[i] <= gains[j]);
             let crossing = if gains[i] < threshold {
                 Some(freqs[i])
-            } else if far < freqs.len() && gains[i] < gains[inner] && gains[i] <= gains[far] {
+            } else if let Some(far) = valley {
                 let (lo, hi) = (freqs[inner.min(far)], freqs[inner.max(far)]);
                 let (f_dip, g_dip) = self.golden_section(lo, hi, -1.0)?;
                 (g_dip < threshold).then_some(f_dip)
