@@ -307,6 +307,23 @@ impl Engine {
         slot
     }
 
+    /// Stamps `G` and `C` from scratch: every element's pattern at its
+    /// current value, summed in element order (the order
+    /// [`Mna::set_value`] re-sums a patched entry in).
+    fn restamp(&mut self, element_stamps: &[Vec<Stamp>], n: usize) {
+        self.g.fill(0.0);
+        self.c.fill(0.0);
+        for (stamps, &value) in element_stamps.iter().zip(&self.values) {
+            for stamp in stamps {
+                let slot = stamp.row as usize * n + stamp.col as usize;
+                match stamp.target {
+                    Target::G => self.g[slot] += stamp.contribution(value),
+                    Target::C => self.c[slot] += stamp.contribution(value),
+                }
+            }
+        }
+    }
+
     fn clear_systems(&mut self) {
         self.systems.clear();
         self.slots.clear();
@@ -614,20 +631,9 @@ impl<'a> Mna<'a> {
         }
 
         let values: Vec<f64> = circuit.iter().map(|(id, _)| circuit.value(id)).collect();
-        let mut g = vec![0.0; n * n];
-        let mut c = vec![0.0; n * n];
-        for (stamps, &value) in element_stamps.iter().zip(&values) {
-            for stamp in stamps {
-                let slot = stamp.row as usize * n + stamp.col as usize;
-                match stamp.target {
-                    Target::G => g[slot] += stamp.contribution(value),
-                    Target::C => c[slot] += stamp.contribution(value),
-                }
-            }
-        }
-        let engine = Engine {
-            g,
-            c,
+        let mut engine = Engine {
+            g: vec![0.0; n * n],
+            c: vec![0.0; n * n],
             values: values.clone(),
             nominal: values,
             systems: Vec::new(),
@@ -639,6 +645,7 @@ impl<'a> Mna<'a> {
             stats: SolverStats::default(),
             probe: None,
         };
+        engine.restamp(&element_stamps, n);
 
         Mna {
             circuit,
@@ -670,24 +677,23 @@ impl<'a> Mna<'a> {
         self.engine.borrow().values[element.index()]
     }
 
-    /// Replaces the scalar value of an element, patching only the `G`/`C`
-    /// entries of its stamp pattern instead of re-stamping the matrices; the
+    /// Replaces the scalar value of an element, recomputing only the `G`/`C`
+    /// entries its value enters instead of re-stamping the matrices; the
     /// cached per-frequency factorizations are refactored on their next use.
     /// The bound circuit is never modified.  To evaluate a deviation without
     /// changing the engine, use [`Mna::probe`].
     ///
-    /// A value whose contribution is not finite (e.g. a resistor set to
-    /// exactly `0.0`, whose conductance is infinite) cannot be expressed as
-    /// an incremental delta; such transitions fall back to an exact rebuild
-    /// of the matrices so the engine recovers fully once a finite value is
-    /// restored.  Solving *while* such a value is in place reports the
-    /// system as singular.
+    /// Each entry is re-summed from the absolute contributions of every
+    /// stamp in it, so patching is exact: any sequence of patches leaves the
+    /// matrices bit-identical to a fresh engine over the same values.  A
+    /// value whose contribution is not finite (e.g. a resistor set to
+    /// exactly `0.0`, whose conductance is infinite) makes solves report the
+    /// system as singular until a finite value is restored.
     pub fn set_value(&self, element: ElementId, new_value: f64) {
         let idx = element.index();
         let mut engine = self.engine.borrow_mut();
         let engine = &mut *engine;
-        let old_value = engine.values[idx];
-        if old_value == new_value {
+        if engine.values[idx] == new_value {
             return;
         }
         engine.values[idx] = new_value;
@@ -699,60 +705,36 @@ impl<'a> Mna<'a> {
             }
         }
         let n = self.n;
-        // First pass: a non-finite delta (value passing through zero on an
-        // inverse-dependent stamp) would poison the matrices permanently if
-        // accumulated, so rebuild exactly instead.
-        let all_finite = self.element_stamps[idx].iter().all(|stamp| {
-            matches!(stamp.dep, Dep::Const)
-                || (stamp.contribution(new_value) - stamp.contribution(old_value)).is_finite()
-        });
-        if !all_finite {
-            self.rebuild_matrices(engine);
-            return;
-        }
-        for stamp in &self.element_stamps[idx] {
-            if matches!(stamp.dep, Dep::Const) {
-                continue;
+        let slot_of = |stamp: &Stamp| stamp.row as usize * n + stamp.col as usize;
+        let (mut touches_g, mut touches_c) = (false, false);
+        for stamp in self.element_stamps[idx]
+            .iter()
+            .filter(|s| s.dep != Dep::Const)
+        {
+            let (target, slot) = (stamp.target, slot_of(stamp));
+            // Re-sum the whole entry in assembly order: bit for bit what a
+            // fresh assembly of the current values produces.
+            let sum = self
+                .element_stamps
+                .iter()
+                .zip(&engine.values)
+                .flat_map(|(stamps, &value)| stamps.iter().map(move |s| (s, value)))
+                .filter(|(s, _)| s.target == target && slot_of(s) == slot)
+                .fold(0.0, |sum, (s, value)| sum + s.contribution(value));
+            match target {
+                Target::G => engine.g[slot] = sum,
+                Target::C => engine.c[slot] = sum,
             }
-            let delta = stamp.contribution(new_value) - stamp.contribution(old_value);
-            let slot = stamp.row as usize * n + stamp.col as usize;
-            match stamp.target {
-                Target::G => {
-                    engine.g[slot] += delta;
-                    for system in &mut engine.systems {
-                        system.invalidate();
-                    }
-                }
-                Target::C => {
-                    engine.c[slot] += delta;
-                    for system in &mut engine.systems {
-                        // `C` does not enter the system at DC, so keep its
-                        // factorization warm.
-                        if f64::from_bits(system.key) != 0.0 {
-                            system.invalidate();
-                        }
-                    }
-                }
+            touches_g |= target == Target::G;
+            touches_c |= target == Target::C;
+        }
+        for system in &mut engine.systems {
+            // `C` does not enter the system at DC, so a `C`-only patch keeps
+            // that factorization warm.
+            if touches_g || (touches_c && f64::from_bits(system.key) != 0.0) {
+                system.invalidate();
             }
         }
-    }
-
-    /// Re-stamps `G` and `C` from the pattern and the current values, and
-    /// drops the per-frequency cache.
-    fn rebuild_matrices(&self, engine: &mut Engine) {
-        engine.g.iter_mut().for_each(|x| *x = 0.0);
-        engine.c.iter_mut().for_each(|x| *x = 0.0);
-        let n = self.n;
-        for (stamps, &value) in self.element_stamps.iter().zip(engine.values.iter()) {
-            for stamp in stamps {
-                let slot = stamp.row as usize * n + stamp.col as usize;
-                match stamp.target {
-                    Target::G => engine.g[slot] += stamp.contribution(value),
-                    Target::C => engine.c[slot] += stamp.contribution(value),
-                }
-            }
-        }
-        engine.clear_systems();
     }
 
     /// Multiplies the scalar value of an element by `factor` (see
@@ -761,15 +743,14 @@ impl<'a> Mna<'a> {
         self.set_value(element, self.value(element) * factor);
     }
 
-    /// Restores every element to its nominal (circuit) value.  The matrices
-    /// are rebuilt from the stamp pattern, clearing any numerical drift
-    /// accumulated by long patch sequences, and the system cache is dropped.
+    /// Restores every element to its nominal (circuit) value: the matrices
+    /// are re-stamped from the pattern and the system cache is dropped.
     pub fn reset_values(&self) {
         let mut engine = self.engine.borrow_mut();
         let engine = &mut *engine;
-        let (values, nominal) = (&mut engine.values, &engine.nominal);
-        values.copy_from_slice(nominal);
-        self.rebuild_matrices(engine);
+        engine.values.copy_from_slice(&engine.nominal);
+        engine.restamp(&self.element_stamps, self.n);
+        engine.clear_systems();
     }
 
     /// Counters for solves, assemblies, factorizations and patches since the
@@ -1320,6 +1301,30 @@ mod tests {
             let a = mna.gain("Vin", vout, freq).unwrap();
             let b = nominal.gain("Vin", vout, freq).unwrap();
             assert!((a - b).abs() < 1e-12);
+        }
+        // Patching is exact: after 50 rounds of deviating every passive and
+        // restoring it, the engine answers bit for bit like a fresh one.
+        for filter in [
+            crate::filters::second_order_band_pass(),
+            crate::filters::fifth_order_chebyshev(),
+        ] {
+            let circuit = filter.circuit();
+            let passive = circuit.passive_elements();
+            let mna = Mna::new(circuit);
+            for round in 1..=50 {
+                for &e in &passive {
+                    mna.scale_value(e, 1.0 + 0.01 * f64::from(round));
+                }
+                for &e in &passive {
+                    mna.set_value(e, circuit.value(e));
+                }
+            }
+            let fresh = Mna::new(circuit);
+            for freq in [10.0, 300.0, 1.0e3, 4.0e3, 30.0e3] {
+                let a = mna.gain("Vin", filter.output_node(), freq).unwrap();
+                let b = fresh.gain("Vin", filter.output_node(), freq).unwrap();
+                assert_eq!(a.to_bits(), b.to_bits(), "{} at {freq} Hz", filter.name());
+            }
         }
     }
 

@@ -319,12 +319,15 @@ mod tests {
   ],
   "ppsfp_thread_scaling": {"host_cpus": 1, "floor_enforced": false,
     "rows": [{"workers": 1, "seconds": 0.001707, "speedup": 1.00}]},
-  "bdd": {"speedup": 1.27},
-  "analog": {"naive_speedup": 6.18}
+  "bdd": {"created_nodes": 1729, "arena_ops_per_sec": 264057.4},
+  "analog": {"cold_warm_ratio": 49.95}
 }"#,
         )
         .unwrap();
-        assert_eq!(doc.path("bdd.speedup").and_then(Json::as_f64), Some(1.27));
+        assert_eq!(
+            doc.path("bdd.created_nodes").and_then(Json::as_f64),
+            Some(1729.0)
+        );
         assert_eq!(
             doc.path("ppsfp_thread_scaling.floor_enforced")
                 .and_then(Json::as_bool),

@@ -1,15 +1,14 @@
 //! Shared experiment scenarios for the benchmark harness.
 //!
 //! Every table and figure of the paper is regenerated by a binary in
-//! `src/bin/`; the builders here assemble the mixed circuits those binaries
-//! (and the Criterion benches) operate on, so that all experiments use the
+//! `src/bin/`; the builders here assemble the mixed circuits and kernel
+//! workloads those binaries operate on, so that all experiments use the
 //! same configurations.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod json;
-pub mod naive;
 
 use msatpg_analog::filters;
 use msatpg_bdd::{Bdd, BddManager};
@@ -96,9 +95,9 @@ pub fn table4_benchmarks() -> Vec<&'static str> {
 }
 
 /// Builds the BDD of an n-bit adder's carry-out (a classic BDD stress case
-/// with a good variable ordering) — the shared workload of the `bdd_ops`
-/// bench, the `bench_kernels` bin and the naive-engine comparisons.  Any
-/// change here changes *both* sides of every cross-engine measurement.
+/// with a good variable ordering) — the `bench_kernels` BDD workload.  Its
+/// created-node and apply-cache counts are gated exactly against the
+/// committed baseline, so any change here means re-recording it.
 pub fn adder_carry_chain(manager: &mut BddManager, bits: usize) -> Bdd {
     let mut carry = manager.zero();
     for i in 0..bits {
@@ -116,8 +115,8 @@ pub fn adder_carry_chain(manager: &mut BddManager, bits: usize) -> Bdd {
 /// stuck-at activation conditions** of every stage's carry line (`f` and
 /// `NOT f`), mirroring what the test generator materializes per fault
 /// target.  On the complement-edged engine each negation is an O(1) bit
-/// flip that allocates nothing; compare
-/// [`naive::naive_carry_chain_with_activations`].
+/// flip that allocates nothing, which is where the `bdd_memory` reduction
+/// over a complement-free engine comes from.
 pub fn adder_carry_chain_with_activations(manager: &mut BddManager, bits: usize) -> Bdd {
     let mut carry = manager.zero();
     let mut lines = Vec::with_capacity(bits);
@@ -170,9 +169,8 @@ pub fn mux_tree(manager: &mut BddManager, selects: usize) -> Bdd {
 /// The gate lowering is the real generator's
 /// [`msatpg_core::digital_atpg::apply_gate`] — not a copy — and the
 /// traversal semantics (last driver wins, inputs must be defined before
-/// use) match both `DigitalAtpg::new` and
-/// [`naive::naive_signal_functions`]: the memory comparison is only
-/// meaningful if both engines build the identical function sequence.
+/// use) match `DigitalAtpg::new`, so the measured population is the one
+/// the generator really builds.
 pub fn signal_functions(manager: &mut BddManager, netlist: &Netlist) -> Vec<Option<Bdd>> {
     use msatpg_core::digital_atpg::apply_gate;
     let mut values: Vec<Option<Bdd>> = vec![None; netlist.signal_count()];

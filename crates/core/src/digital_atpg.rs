@@ -285,28 +285,28 @@ impl<const W: usize> WideCoverage<W> {
 /// instantiation per supported lane count).
 enum Dropping {
     W1(WideCoverage<1>),
-    W4(WideCoverage<4>),
     W8(WideCoverage<8>),
 }
 
 impl Dropping {
     fn new(netlist: &Netlist, faults: &FaultList, width: WordWidth) -> Self {
         match width.lanes() {
-            4 => Dropping::W4(WideCoverage::new(netlist, faults)),
             8 => Dropping::W8(WideCoverage::new(netlist, faults)),
             _ => Dropping::W1(WideCoverage::new(netlist, faults)),
         }
     }
 }
 
-/// The sequential fault-dropping replay: consumes per-fault outcomes in
-/// fault-list order and maintains the word-parallel coverage blocks
-/// ([`WideCoverage`]).  Both the serial loop and the pipelined driver run
-/// exactly this state machine, which is what keeps their reports
-/// byte-identical.
+/// The sequential fault-dropping replay: consumes and journals per-fault
+/// outcomes in fault-list order and maintains the word-parallel coverage
+/// blocks ([`WideCoverage`]).  Both the serial loop and the pipelined
+/// driver run exactly this state machine, one
+/// [`DigitalAtpg::replay_step`] per fault, which is what keeps their
+/// reports byte-identical.
 struct ReplayState<'n> {
     netlist: &'n Netlist,
     dropping: Option<Dropping>,
+    journal: CampaignJournal,
     vectors: Vec<TestVector>,
     untestable: Vec<StuckAtFault>,
     degraded: Vec<StuckAtFault>,
@@ -320,11 +320,13 @@ impl<'n> ReplayState<'n> {
         fault_dropping: bool,
         faults: &FaultList,
         width: WordWidth,
+        journal: CampaignJournal,
     ) -> Self {
         let dropping = fault_dropping.then(|| Dropping::new(netlist, faults, width));
         ReplayState {
             netlist,
             dropping,
+            journal,
             vectors: Vec::new(),
             untestable: Vec::new(),
             degraded: Vec::new(),
@@ -340,15 +342,15 @@ impl<'n> ReplayState<'n> {
         match &mut self.dropping {
             None => false,
             Some(Dropping::W1(c)) => c.covered(self.netlist, fault),
-            Some(Dropping::W4(c)) => c.covered(self.netlist, fault),
             Some(Dropping::W8(c)) => c.covered(self.netlist, fault),
         }
     }
 
-    /// Applies one fault's outcome: bumps the detected count, folds a new
-    /// vector into the word blocks, or records the fault as untestable,
-    /// degraded or aborted.
+    /// Journals one fault's outcome and applies it: bumps the detected
+    /// count, folds a new vector into the word blocks, or records the fault
+    /// as untestable, degraded or aborted.
     fn consume(&mut self, fault: StuckAtFault, outcome: TestOutcome) -> Result<(), CoreError> {
+        self.journal.record(&outcome)?;
         match outcome {
             TestOutcome::Detected(vector) => {
                 self.detected += 1;
@@ -378,7 +380,6 @@ impl<'n> ReplayState<'n> {
             let pattern = vector.concretize(false);
             match dropping {
                 Dropping::W1(c) => c.absorb(self.netlist, pattern)?,
-                Dropping::W4(c) => c.absorb(self.netlist, pattern)?,
                 Dropping::W8(c) => c.absorb(self.netlist, pattern)?,
             }
         }
@@ -915,34 +916,24 @@ impl<'a> DigitalAtpg<'a> {
         faults: &FaultList,
     ) -> Result<AtpgReport, CoreError> {
         let start = Instant::now();
-        let mut replay = ReplayState::new(self.netlist, self.fault_dropping, faults, self.width);
-        let slots = self.resume_slots(faults)?;
-        let mut journal =
+        let journal =
             CampaignJournal::new(self.checkpoint.clone(), self.chaos, self.netlist, faults);
+        let mut replay = ReplayState::new(
+            self.netlist,
+            self.fault_dropping,
+            faults,
+            self.width,
+            journal,
+        );
+        let slots = self.resume_slots(faults)?;
         if pool.policy().is_serial() {
             for (k, &fault) in faults.faults().iter().enumerate() {
-                // A journaled non-aborted outcome is replayed verbatim: the
-                // prefix replayed so far rebuilt the exact coverage state
-                // the original run had at this index, so re-deciding would
-                // only recompute the same answer.
-                if let Some(outcome) = slots.get(k).and_then(|s| s.clone()) {
-                    journal.record(&outcome)?;
-                    replay.consume(fault, outcome)?;
-                    continue;
-                }
-                if replay.covered(fault) {
-                    replay.detected += 1;
-                    journal.record(&TestOutcome::PreviouslyDetected)?;
-                    continue;
-                }
-                let outcome = self.decide(k, fault, None)?;
-                journal.record(&outcome)?;
-                replay.consume(fault, outcome)?;
+                self.replay_step(&mut replay, &slots, k, fault, false, None)?;
             }
         } else {
-            self.run_pipelined(pool, faults, &mut replay, &mut journal, &slots)?;
+            self.run_pipelined(pool, faults, &mut replay, &slots)?;
         }
-        journal.finish()?;
+        replay.journal.finish()?;
         Ok(AtpgReport {
             circuit: self.netlist.name().to_owned(),
             total_faults: faults.len(),
@@ -954,6 +945,33 @@ impl<'a> DigitalAtpg<'a> {
             cpu: start.elapsed(),
             constrained: self.constrained,
         })
+    }
+
+    /// One step of the fault-dropping replay for fault-list entry `k`,
+    /// shared by the serial loop and the pipelined driver.  A journaled
+    /// non-aborted outcome replays verbatim: the prefix replayed so far
+    /// rebuilt the exact coverage state the original run had at this
+    /// index, so re-deciding would only recompute the same answer.  A fault
+    /// the replayed vectors already cover is previously detected;
+    /// `prescreened` says the pipelined driver's pre-screen has already
+    /// proved that, and since coverage is monotone (blocks only gain
+    /// patterns) the flag needs no rescan.  Any other fault is decided —
+    /// from `speculative`, a worker's result, when there is one.
+    fn replay_step(
+        &mut self,
+        replay: &mut ReplayState<'a>,
+        slots: &[Option<TestOutcome>],
+        k: usize,
+        fault: StuckAtFault,
+        prescreened: bool,
+        speculative: Option<Result<TestOutcome, BddError>>,
+    ) -> Result<(), CoreError> {
+        let outcome = match slots.get(k).and_then(|s| s.clone()) {
+            Some(outcome) => outcome,
+            None if prescreened || replay.covered(fault) => TestOutcome::PreviouslyDetected,
+            None => self.decide(k, fault, speculative)?,
+        };
+        replay.consume(fault, outcome)
     }
 
     /// Validates the armed resume snapshot (if any) against this campaign
@@ -1119,7 +1137,6 @@ impl<'a> DigitalAtpg<'a> {
             return Ok(None);
         }
         match self.width.lanes() {
-            4 => self.degrade_verify::<4>(fault, &candidates),
             8 => self.degrade_verify::<8>(fault, &candidates),
             _ => self.degrade_verify::<1>(fault, &candidates),
         }
@@ -1172,7 +1189,6 @@ impl<'a> DigitalAtpg<'a> {
         pool: &WorkerPool,
         faults: &FaultList,
         replay: &mut ReplayState<'a>,
-        journal: &mut CampaignJournal,
         slots: &[Option<TestOutcome>],
     ) -> Result<(), CoreError> {
         let list = faults.faults();
@@ -1291,32 +1307,12 @@ impl<'a> DigitalAtpg<'a> {
                     // Replay round `round` while the workers generate round
                     // `round + 1` — exactly the serial loop, with inline
                     // generation replaced by the speculative result where
-                    // available.
+                    // available.  Coverage flags are written by this
+                    // driver alone, never by workers.
                     for (j, speculative) in outcomes.into_iter().enumerate() {
                         let k = round_start + j;
-                        let fault = list[k];
-                        // Exactly the serial loop: resume slots replay
-                        // first (they encode the coverage state of the
-                        // original run at this index).
-                        if let Some(outcome) = slots.get(k).and_then(|s| s.clone()) {
-                            journal.record(&outcome)?;
-                            replay.consume(fault, outcome)?;
-                            continue;
-                        }
-                        // A flag set by the prescreen was itself a full
-                        // coverage scan, and coverage is monotone (blocks
-                        // only gain patterns), so the replay can trust it
-                        // without rescanning; only unflagged faults pay the
-                        // pre-check here.  Flags are written by this driver
-                        // alone, never by workers.
-                        if covered[k].load(Ordering::Relaxed) || replay.covered(fault) {
-                            replay.detected += 1;
-                            journal.record(&TestOutcome::PreviouslyDetected)?;
-                            continue;
-                        }
-                        let outcome = self.decide(k, fault, speculative)?;
-                        journal.record(&outcome)?;
-                        replay.consume(fault, outcome)?;
+                        let prescreened = covered[k].load(Ordering::Relaxed);
+                        self.replay_step(replay, slots, k, list[k], prescreened, speculative)?;
                     }
                 }
                 Ok(())

@@ -40,7 +40,7 @@
 //! [`fault_sim::FaultSimulator::run_serial`] and the two engines are
 //! property-tested to produce identical detected-fault sets.
 //!
-//! The word further widens to 256/512-bit blocks (`[u64; 4/8]` lane
+//! The word further widens to 512-bit blocks (`[u64; 8]` lane
 //! arrays that auto-vectorize at `--release`) behind the
 //! [`fault_sim::WordWidth`] knob / `MSATPG_WORD_WIDTH` environment
 //! variable, so one cone walk decides up to 512 patterns with results
