@@ -669,7 +669,6 @@ mod tests {
             ExecPolicy::Serial,
             ExecPolicy::Threads(2),
             ExecPolicy::Threads(8),
-            ExecPolicy::Auto,
         ] {
             let swept = FrequencyResponse::sweep_policy(&c, "Vin", vout, &config, policy).unwrap();
             assert_eq!(swept.points(), reference.points(), "{policy:?}");

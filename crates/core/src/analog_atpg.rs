@@ -10,10 +10,11 @@ use msatpg_analog::signal::{output_amplitude, SineStimulus};
 use msatpg_analog::ElementId;
 use msatpg_digital::logic::Logic;
 use msatpg_digital::netlist::SignalId;
-use msatpg_exec::WorkerPool;
+use msatpg_exec::{ExecPolicy, WorkerPool};
 
 use crate::activation::{select_stimulus, DeviationSign};
 use crate::mixed_circuit::MixedCircuit;
+use crate::ordering::DvoMode;
 use crate::propagation::PropagationEngine;
 use crate::CoreError;
 
@@ -97,14 +98,17 @@ pub struct AnalogTestEntry {
 pub struct AnalogAtpg<'a> {
     circuit: &'a MixedCircuit,
     tolerance: f64,
+    dvo: DvoMode,
 }
 
 impl<'a> AnalogAtpg<'a> {
-    /// Creates the generator with the paper's ±5 % parameter tolerance.
+    /// Creates the generator with the paper's ±5 % parameter tolerance and
+    /// no dynamic reordering of the propagation OBDDs.
     pub fn new(circuit: &'a MixedCircuit) -> Self {
         AnalogAtpg {
             circuit,
             tolerance: 0.05,
+            dvo: DvoMode::Never,
         }
     }
 
@@ -112,6 +116,17 @@ impl<'a> AnalogAtpg<'a> {
     pub fn with_tolerance(mut self, tolerance: f64) -> Self {
         self.tolerance = tolerance;
         self
+    }
+
+    /// Sets the DVO mode of every propagation engine this generator builds.
+    pub(crate) fn with_dvo(mut self, dvo: DvoMode) -> Self {
+        self.dvo = dvo;
+        self
+    }
+
+    /// A propagation engine over the digital block at this DVO mode.
+    pub(crate) fn propagation_engine(&self) -> PropagationEngine<'a> {
+        PropagationEngine::new(self.circuit.digital()).with_dvo(self.dvo)
     }
 
     /// Attempts to generate a test for a deviation of `deviation` (signed
@@ -199,7 +214,7 @@ impl<'a> AnalogAtpg<'a> {
                         fixed.insert(other_line, code_good[other_output]);
                     }
                 }
-                let engine = PropagationEngine::new(self.circuit.digital());
+                let engine = self.propagation_engine();
                 if let Some(prop) = engine.find_propagating_assignment(&fixed, line, composite)? {
                     return Ok(AnalogTestOutcome::Tested(AnalogTestVector {
                         stimulus: plan.stimulus,
@@ -310,11 +325,7 @@ impl<'a> AnalogAtpg<'a> {
     ///
     /// Propagates propagation-engine errors.
     pub fn comparator_propagation_study(&self) -> Result<Vec<(bool, bool)>, CoreError> {
-        let connections = self.circuit.connections();
-        let engine = PropagationEngine::new(self.circuit.digital());
-        (0..connections.len())
-            .map(|idx| self.connection_study(&engine, &connections, idx))
-            .collect()
+        self.comparator_propagation_study_on(&WorkerPool::new(ExecPolicy::Serial))
     }
 
     /// [`AnalogAtpg::comparator_propagation_study`] on a worker pool:
@@ -333,7 +344,7 @@ impl<'a> AnalogAtpg<'a> {
         pool.run_chunks(
             &connections,
             1,
-            || PropagationEngine::new(self.circuit.digital()),
+            || self.propagation_engine(),
             |engine, _ci, offset, _chunk| self.connection_study(engine, &connections, offset),
         )
         .into_iter()

@@ -290,9 +290,9 @@ enum Dropping {
 
 impl Dropping {
     fn new(netlist: &Netlist, faults: &FaultList, width: WordWidth) -> Self {
-        match width.lanes() {
-            8 => Dropping::W8(WideCoverage::new(netlist, faults)),
-            _ => Dropping::W1(WideCoverage::new(netlist, faults)),
+        match width {
+            WordWidth::W8 => Dropping::W8(WideCoverage::new(netlist, faults)),
+            WordWidth::W1 => Dropping::W1(WideCoverage::new(netlist, faults)),
         }
     }
 }
@@ -568,7 +568,7 @@ impl<'a> DigitalAtpg<'a> {
             fault_dropping: true,
             constrained: false,
             policy: ExecPolicy::Serial,
-            width: WordWidth::Auto,
+            width: WordWidth::W1,
             constraint_spec: None,
             budget: BddBudget::UNLIMITED,
             cancel: None,
@@ -641,9 +641,8 @@ impl<'a> DigitalAtpg<'a> {
     }
 
     /// Sets the PPSFP block width used by the fault-dropping pre-screens
-    /// and the degraded-fault verification (see
-    /// [`WordWidth`]; the default
-    /// honors the `MSATPG_WORD_WIDTH` environment variable).  Reports —
+    /// and the degraded-fault verification (see [`WordWidth`]; one lane by
+    /// default).  Reports —
     /// and checkpoint files — are byte-identical across widths; only the
     /// wall-clock changes.
     pub fn with_word_width(mut self, width: WordWidth) -> Self {
@@ -651,8 +650,8 @@ impl<'a> DigitalAtpg<'a> {
         self
     }
 
-    /// Sets the dynamic-variable-ordering mode (the default honors the
-    /// `MSATPG_DVO` environment variable; see [`DvoMode`]).  When active,
+    /// Sets the dynamic-variable-ordering mode (see [`DvoMode`];
+    /// [`DigitalAtpg::new`] starts at `DvoMode::Never`).  When active,
     /// the engine's manager is sifted to convergence immediately — a
     /// deterministic construction-time safe point where the signal
     /// functions and `Fc` are the only protected roots — so apply this
@@ -1136,9 +1135,9 @@ impl<'a> DigitalAtpg<'a> {
         if candidates.is_empty() {
             return Ok(None);
         }
-        match self.width.lanes() {
-            8 => self.degrade_verify::<8>(fault, &candidates),
-            _ => self.degrade_verify::<1>(fault, &candidates),
+        match self.width {
+            WordWidth::W8 => self.degrade_verify::<8>(fault, &candidates),
+            WordWidth::W1 => self.degrade_verify::<1>(fault, &candidates),
         }
     }
 

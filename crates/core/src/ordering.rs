@@ -19,8 +19,8 @@
 //! * **dynamic reordering** ([`DvoMode`]): Rudell sifting on the live
 //!   arena (see `msatpg_bdd::reorder`), applied at deterministic
 //!   construction-time safe points so that reports stay byte-identical
-//!   across thread counts.  The default honors the [`DVO_ENV_VAR`]
-//!   environment variable, mirroring the `MSATPG_WORD_WIDTH` knob.
+//!   across thread counts.  The default never reorders; `MSATPG_DVO` is
+//!   read only by [`crate::AtpgOptions::from_env`].
 //!
 //! Both defenses preserve the paper's contract that the composite variable
 //! `D` sits *last* in the order: static orders only permute the external
@@ -31,10 +31,6 @@
 //! [`PropagationEngine`]: crate::PropagationEngine
 
 use msatpg_digital::netlist::{Netlist, SignalId};
-
-/// Environment variable consulted by [`DvoMode::Auto`]; accepts `never`
-/// (the default) or `until-convergence`.  Any other value is ignored.
-pub const DVO_ENV_VAR: &str = "MSATPG_DVO";
 
 /// Upper bound on FORCE iterations; the iteration stops earlier as soon as
 /// the total hyperedge span stops improving.
@@ -53,32 +49,18 @@ const FORCE_ITERATIONS: usize = 16;
 /// Within one mode, reports remain byte-identical across thread counts.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum DvoMode {
-    /// Honor [`DVO_ENV_VAR`] (`MSATPG_DVO=never/until-convergence`); never
-    /// reorder when unset or malformed.  This is the default.
+    /// Keep the declaration order — the pre-reordering behavior.  This is
+    /// the default.
     #[default]
-    Auto,
-    /// Keep the declaration order — the pre-reordering behavior.
     Never,
     /// Sift to convergence at the construction-time safe point.
     UntilConvergence,
 }
 
 impl DvoMode {
-    /// Resolves [`DvoMode::Auto`] against the environment; `Never` and
-    /// `UntilConvergence` pass through unchanged.
-    pub fn resolve(self) -> DvoMode {
-        match self {
-            DvoMode::Auto => match std::env::var(DVO_ENV_VAR) {
-                Ok(v) if v.eq_ignore_ascii_case("until-convergence") => DvoMode::UntilConvergence,
-                _ => DvoMode::Never,
-            },
-            other => other,
-        }
-    }
-
-    /// Whether the resolved mode asks for reordering.
+    /// Whether the mode asks for reordering.
     pub fn is_active(self) -> bool {
-        self.resolve() == DvoMode::UntilConvergence
+        self == DvoMode::UntilConvergence
     }
 }
 
@@ -306,18 +288,5 @@ mod tests {
             first_po_cone.contains(&lead),
             "first-listed input must belong to the first output cone"
         );
-    }
-
-    #[test]
-    fn dvo_mode_resolution() {
-        assert_eq!(DvoMode::Never.resolve(), DvoMode::Never);
-        assert_eq!(
-            DvoMode::UntilConvergence.resolve(),
-            DvoMode::UntilConvergence
-        );
-        assert!(!DvoMode::Never.is_active());
-        assert!(DvoMode::UntilConvergence.is_active());
-        // Auto resolves to one of the two concrete modes.
-        assert_ne!(DvoMode::Auto.resolve(), DvoMode::Auto);
     }
 }

@@ -50,13 +50,13 @@ pub struct PropagationEngine<'a> {
 }
 
 impl<'a> PropagationEngine<'a> {
-    /// Creates a propagation engine (declaration input order, dynamic
-    /// reordering per the `MSATPG_DVO` environment variable).
+    /// Creates a propagation engine (declaration input order, no dynamic
+    /// reordering; see [`Self::with_dvo`]).
     pub fn new(netlist: &'a Netlist) -> Self {
         PropagationEngine {
             netlist,
             order: StaticOrder::Declaration,
-            dvo: DvoMode::Auto,
+            dvo: DvoMode::Never,
         }
     }
 
@@ -116,7 +116,7 @@ impl<'a> PropagationEngine<'a> {
     /// plus the composite variable `D` (declared last), registers them as
     /// GC roots and sweeps the interior signal functions the build left
     /// behind.  Shared by the single-output and the all-outputs searches.
-    fn build_output_functions(
+    pub(crate) fn build_output_functions(
         &self,
         fixed: &HashMap<SignalId, bool>,
         composite_line: SignalId,

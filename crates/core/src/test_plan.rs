@@ -42,15 +42,15 @@ pub struct AtpgOptions {
     /// [`DigitalAtpg::with_budget`](crate::DigitalAtpg::with_budget)).
     pub bdd_budget: BddBudget,
     /// PPSFP block width of the digital stages (fault-dropping pre-screens
-    /// and degraded-fault verification).  The default honors the
-    /// `MSATPG_WORD_WIDTH` environment variable; every width produces a
-    /// byte-identical [`TestPlan`] (see
+    /// and degraded-fault verification).  One lane by default; every width
+    /// produces a byte-identical [`TestPlan`] (see
     /// [`DigitalAtpg::with_word_width`](crate::DigitalAtpg::with_word_width)).
     pub word_width: WordWidth,
-    /// Dynamic variable reordering of the digital OBDD engines.  The
-    /// default honors the `MSATPG_DVO` environment variable; every mode
-    /// produces an *equivalent* [`TestPlan`] (same coverage and outcome
-    /// taxonomy, possibly different test cubes — see
+    /// Dynamic variable reordering of every OBDD engine of the run: the
+    /// digital stages and the propagation searches of the analog and
+    /// conversion-block tests.  `Never` by default; every mode produces an
+    /// *equivalent* [`TestPlan`] (same coverage and outcome taxonomy,
+    /// possibly different test cubes — see
     /// [`DigitalAtpg::with_dvo`](crate::DigitalAtpg::with_dvo)), and within
     /// one mode the plan stays byte-identical across thread counts.
     pub dvo: DvoMode,
@@ -66,8 +66,47 @@ impl Default for AtpgOptions {
             collapse_faults: true,
             exec: ExecPolicy::Serial,
             bdd_budget: BddBudget::UNLIMITED,
-            word_width: WordWidth::Auto,
-            dvo: DvoMode::Auto,
+            word_width: WordWidth::W1,
+            dvo: DvoMode::Never,
+        }
+    }
+}
+
+impl AtpgOptions {
+    /// The defaults with the execution knobs read from the environment —
+    /// the one place the workspace reads its `MSATPG_*` variables; entry
+    /// points call it, library layers take only concrete values.
+    ///
+    /// * `MSATPG_THREADS`: a positive decimal integer (whitespace allowed)
+    ///   sets `exec` to that many threads; unset or anything else means one
+    ///   thread per [`std::thread::available_parallelism`].
+    /// * `MSATPG_WORD_WIDTH`: `1` or `8` lanes; anything else means one.
+    /// * `MSATPG_DVO`: `until-convergence` (any case) turns sifting on;
+    ///   anything else means `Never`.
+    pub fn from_env() -> Self {
+        Self::from_lookup(|name| std::env::var(name).ok())
+    }
+
+    /// [`AtpgOptions::from_env`] over an arbitrary variable lookup, so the
+    /// grammars are testable without mutating the process environment.
+    fn from_lookup(lookup: impl Fn(&str) -> Option<String>) -> Self {
+        let threads = lookup("MSATPG_THREADS")
+            .and_then(|v| v.trim().parse::<usize>().ok())
+            .filter(|&n| n >= 1)
+            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
+        let word_width = match lookup("MSATPG_WORD_WIDTH").as_deref().map(str::trim) {
+            Some("8") => WordWidth::W8,
+            _ => WordWidth::W1,
+        };
+        let dvo = match lookup("MSATPG_DVO") {
+            Some(v) if v.eq_ignore_ascii_case("until-convergence") => DvoMode::UntilConvergence,
+            _ => DvoMode::Never,
+        };
+        AtpgOptions {
+            exec: ExecPolicy::Threads(threads),
+            word_width,
+            dvo,
+            ..AtpgOptions::default()
         }
     }
 }
@@ -316,7 +355,7 @@ impl MixedSignalAtpg {
         pool: &WorkerPool,
         deviations: &DeviationReport,
     ) -> Result<Vec<AnalogTestEntry>, CoreError> {
-        let atpg = AnalogAtpg::new(&self.circuit).with_tolerance(self.options.parameter_tolerance);
+        let atpg = self.analog_atpg();
         let graph = CoverageGraph::from_report(deviations);
         let analog = self.circuit.analog();
         // Slot per element: either a ready entry (nothing detects the
@@ -403,8 +442,7 @@ impl MixedSignalAtpg {
         let coverage = ladder_coverage(adc.ladder(), self.options.parameter_tolerance, 50.0)
             .map_err(|e| CoreError::Conversion(e.to_string()))?;
         // Which comparators can propagate a flip through the digital block?
-        let atpg = AnalogAtpg::new(&self.circuit);
-        let study = atpg.comparator_propagation_study_on(pool)?;
+        let study = self.analog_atpg().comparator_propagation_study_on(pool)?;
         let usable: Vec<usize> = study
             .iter()
             .enumerate()
@@ -457,6 +495,14 @@ impl MixedSignalAtpg {
         })
     }
 
+    /// The analog/conversion-block test generator at the run's tolerance
+    /// and DVO mode.
+    fn analog_atpg(&self) -> AnalogAtpg<'_> {
+        AnalogAtpg::new(&self.circuit)
+            .with_tolerance(self.options.parameter_tolerance)
+            .with_dvo(self.options.dvo)
+    }
+
     fn fault_list(&self) -> FaultList {
         if self.options.collapse_faults {
             FaultList::collapsed(self.circuit.digital())
@@ -472,7 +518,8 @@ mod tests {
     use msatpg_analog::filters;
     use msatpg_conversion::constraints::AllowedCodes;
     use msatpg_conversion::FlashAdc;
-    use msatpg_digital::circuits;
+    use msatpg_digital::{circuits, logic::Logic};
+    use std::collections::HashMap;
 
     fn figure4() -> MixedCircuit {
         let analog = filters::second_order_band_pass();
@@ -566,5 +613,72 @@ mod tests {
         assert!(atpg.options.worst_case);
         assert_eq!(atpg.circuit().name(), "figure4");
         assert_eq!(AtpgOptions::default().parameter_tolerance, 0.05);
+    }
+
+    /// [`AtpgOptions::from_lookup`] with only `name` set to `value`.
+    fn knob(name: &'static str, value: &'static str) -> AtpgOptions {
+        AtpgOptions::from_lookup(|n| (n == name).then(|| value.to_owned()))
+    }
+
+    #[test]
+    fn from_lookup_threads_grammar() {
+        for (value, n) in [("3", 3), (" 8 ", 8), ("1", 1)] {
+            assert_eq!(knob("MSATPG_THREADS", value).exec, ExecPolicy::Threads(n));
+        }
+        // Unset, or anything but a positive decimal integer: one worker per
+        // hardware thread, never a panic.
+        let hardware =
+            ExecPolicy::Threads(std::thread::available_parallelism().map_or(1, |n| n.get()));
+        assert_eq!(knob("UNSET", "8").exec, hardware);
+        for value in ["abc", "0", "-2", "lots", "", " ", "1.5", "0x4", "+"] {
+            assert_eq!(knob("MSATPG_THREADS", value).exec, hardware, "{value:?}");
+        }
+    }
+
+    #[test]
+    fn from_lookup_width_grammar() {
+        assert_eq!(knob("MSATPG_WORD_WIDTH", "1").word_width, WordWidth::W1);
+        assert_eq!(knob("MSATPG_WORD_WIDTH", " 8 ").word_width, WordWidth::W8);
+        // Only the lane counts the engine has kernels for are accepted.
+        for value in ["4", "2", "wide", ""] {
+            assert_eq!(knob("MSATPG_WORD_WIDTH", value).word_width, WordWidth::W1);
+        }
+    }
+
+    #[test]
+    fn from_lookup_dvo_grammar() {
+        for value in ["until-convergence", "UNTIL-Convergence"] {
+            assert_eq!(knob("MSATPG_DVO", value).dvo, DvoMode::UntilConvergence);
+        }
+        for value in ["never", "always", "until_convergence", ""] {
+            assert_eq!(knob("MSATPG_DVO", value).dvo, DvoMode::Never, "{value:?}");
+        }
+        assert!(DvoMode::UntilConvergence.is_active() && !DvoMode::Never.is_active());
+    }
+
+    #[test]
+    fn plan_dvo_reaches_the_propagation_managers() {
+        // Sifting garbage-collects on entry and nothing else collects these
+        // small per-search managers, so the GC count shows whether the
+        // analog/conversion stages' propagation engine sifted.
+        let gc_runs = |dvo| {
+            let options = AtpgOptions {
+                dvo,
+                ..AtpgOptions::default()
+            };
+            let atpg = MixedSignalAtpg::new(figure4()).with_options(options);
+            let lines = atpg.circuit().connections();
+            let (manager, _, _) = atpg
+                .analog_atpg()
+                .propagation_engine()
+                .build_output_functions(&HashMap::from([(lines[1].1, true)]), lines[0].1, Logic::D)
+                .unwrap();
+            manager.stats().gc_runs
+        };
+        assert_eq!(gc_runs(DvoMode::Never), 0, "a Never plan must not sift");
+        assert!(
+            gc_runs(DvoMode::UntilConvergence) > 0,
+            "an UntilConvergence plan must sift"
+        );
     }
 }

@@ -345,24 +345,18 @@ pub fn block_mask<const W: usize>(count: usize) -> [u64; W] {
     mask
 }
 
-/// Environment variable consulted by [`WordWidth::Auto`]; accepts `1` or
-/// `8` lanes (64/512 patterns per block).  Any other value is ignored.
-pub const WIDTH_ENV_VAR: &str = "MSATPG_WORD_WIDTH";
-
 /// PPSFP block width: how many 64-pattern lanes one cone walk covers.
 ///
 /// Results are byte-identical across widths; only the wall-clock changes.
 /// Wide blocks pay off on large pattern sets (the per-fault cone-walk
 /// overhead is amortized over up to 512 patterns) and cost extra masked
 /// work when pattern sets are much smaller than a block, which is why the
-/// default stays at one lane unless the knob opts in.
+/// default stays at one lane.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum WordWidth {
-    /// Honor [`WIDTH_ENV_VAR`] (`MSATPG_WORD_WIDTH=1/8`); one lane when
-    /// unset or malformed.  This is the default.
-    #[default]
-    Auto,
     /// One `u64` lane — 64 patterns per block, the pre-wide behavior.
+    /// This is the default.
+    #[default]
     W1,
     /// Eight lanes — 512 patterns per block (512-bit SIMD where available).
     W8,
@@ -374,29 +368,7 @@ impl WordWidth {
         match self {
             WordWidth::W1 => 1,
             WordWidth::W8 => 8,
-            WordWidth::Auto => std::env::var(WIDTH_ENV_VAR)
-                .ok()
-                .and_then(|v| parse_width_override(&v))
-                .unwrap_or(1),
         }
-    }
-
-    /// Number of patterns per block (`64 * lanes`).
-    pub fn patterns(self) -> usize {
-        64 * self.lanes()
-    }
-}
-
-/// Parses a [`WIDTH_ENV_VAR`] override: only the literal lane counts `1`
-/// and `8` (surrounding whitespace allowed) are accepted — anything
-/// else yields `None` and [`WordWidth::Auto`] falls back to one lane, so a
-/// malformed value never panics and never silently picks a width the
-/// engine has no kernel for.
-pub fn parse_width_override(value: &str) -> Option<usize> {
-    match value.trim() {
-        "1" => Some(1),
-        "8" => Some(8),
-        _ => None,
     }
 }
 
@@ -676,7 +648,7 @@ impl<'a> FaultSimulator<'a> {
             netlist,
             drop_detected: true,
             policy: ExecPolicy::Serial,
-            width: WordWidth::Auto,
+            width: WordWidth::W1,
             cancel: None,
         }
     }
@@ -824,9 +796,9 @@ impl<'a> FaultSimulator<'a> {
     ) -> Result<FaultSimResult, DigitalError> {
         // One monomorphized campaign loop per supported lane count; the
         // width knob only selects which instantiation runs.
-        match self.width.lanes() {
-            8 => self.run_blocks_on::<8>(pool, faults, patterns, cones),
-            _ => self.run_blocks_on::<1>(pool, faults, patterns, cones),
+        match self.width {
+            WordWidth::W8 => self.run_blocks_on::<8>(pool, faults, patterns, cones),
+            WordWidth::W1 => self.run_blocks_on::<1>(pool, faults, patterns, cones),
         }
     }
 
@@ -1491,16 +1463,10 @@ mod tests {
     }
 
     #[test]
-    fn width_knob_parsing_and_block_masks() {
-        assert_eq!(parse_width_override("1"), Some(1));
-        assert_eq!(parse_width_override(" 8 "), Some(8));
-        assert_eq!(parse_width_override("4"), None);
-        assert_eq!(parse_width_override("2"), None);
-        assert_eq!(parse_width_override("wide"), None);
-        assert_eq!(parse_width_override(""), None);
+    fn word_width_lanes_and_block_masks() {
         assert_eq!(WordWidth::W1.lanes(), 1);
-        assert_eq!(WordWidth::W8.patterns(), 512);
-        assert_eq!(WordWidth::default(), WordWidth::Auto);
+        assert_eq!(WordWidth::W8.lanes(), 8);
+        assert_eq!(WordWidth::default(), WordWidth::W1);
         assert_eq!(block_mask::<1>(13), [word_mask(13)]);
         assert_eq!(
             block_mask::<8>(130),

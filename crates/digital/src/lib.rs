@@ -42,9 +42,8 @@
 //!
 //! The word further widens to 512-bit blocks (`[u64; 8]` lane
 //! arrays that auto-vectorize at `--release`) behind the
-//! [`fault_sim::WordWidth`] knob / `MSATPG_WORD_WIDTH` environment
-//! variable, so one cone walk decides up to 512 patterns with results
-//! byte-identical to the one-lane engine.
+//! [`fault_sim::WordWidth`] knob, so one cone walk decides up to 512
+//! patterns with results byte-identical to the one-lane engine.
 //!
 //! # Example
 //!

@@ -36,9 +36,9 @@
 //!   asserts.
 //! * **One policy knob.**  [`ExecPolicy`] is plumbed through the public
 //!   options structs of the digital, analog and core crates; `Serial` runs
-//!   inline on the caller's thread with zero setup cost.  `Auto` honors the
-//!   `MSATPG_THREADS` environment variable so CI can matrix thread counts
-//!   without code changes.
+//!   inline on the caller's thread with zero setup cost.  The crate never
+//!   reads the environment: `MSATPG_THREADS` is resolved to a concrete
+//!   policy once, by `msatpg_core::AtpgOptions::from_env`.
 //!
 //! ## Example
 //!
@@ -66,21 +66,6 @@ pub use cancel::{CancelReason, CancelToken};
 pub use chaos::{ChaosEvent, ChaosInjector};
 pub use pool::{ChunkPanic, PanicPolicy, PoolStats, Session, WorkerPool};
 
-/// Name of the environment variable [`ExecPolicy::Auto`] consults before
-/// falling back to [`std::thread::available_parallelism`].
-///
-/// # Value grammar
-///
-/// The value is trimmed and parsed as a positive decimal integer; exactly
-/// the values accepted by `usize::from_str` with the result `>= 1` override
-/// the hardware thread count.  **Anything else is silently ignored** — the
-/// empty string, `"0"`, `"abc"`, `"-2"`, `"1.5"`, unparsable garbage — and
-/// [`ExecPolicy::Auto`] falls back to
-/// [`std::thread::available_parallelism`].  A malformed value never panics
-/// and never serializes the run to one thread: robustness of a campaign
-/// must not hinge on a typo in a CI environment block.
-pub const THREADS_ENV_VAR: &str = "MSATPG_THREADS";
-
 /// How a parallelizable loop is executed.
 ///
 /// The default everywhere in the workspace is [`ExecPolicy::Serial`]: every
@@ -94,24 +79,14 @@ pub enum ExecPolicy {
     /// Run on a scoped pool of exactly `n` workers (`0` and `1` degrade to
     /// the inline serial path).
     Threads(usize),
-    /// Run on one worker per hardware thread: the `MSATPG_THREADS`
-    /// environment variable when set to a positive integer (so CI can
-    /// matrix thread counts without code changes), otherwise
-    /// [`std::thread::available_parallelism`].
-    Auto,
 }
 
 impl ExecPolicy {
-    /// The number of workers this policy resolves to on the current host.
+    /// The number of workers this policy runs on.
     pub fn workers(self) -> usize {
         match self {
             ExecPolicy::Serial => 1,
             ExecPolicy::Threads(n) => n.max(1),
-            ExecPolicy::Auto => env_threads().unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1)
-            }),
         }
     }
 
@@ -119,21 +94,6 @@ impl ExecPolicy {
     pub fn is_serial(self) -> bool {
         self.workers() <= 1
     }
-}
-
-/// Reads `MSATPG_THREADS`: a positive integer overrides the hardware
-/// thread count for [`ExecPolicy::Auto`]; anything else is ignored.
-fn env_threads() -> Option<usize> {
-    parse_thread_override(&std::env::var(THREADS_ENV_VAR).ok()?)
-}
-
-/// The value grammar of `MSATPG_THREADS`, kept pure so it is testable
-/// without mutating the process environment (concurrent `setenv`/`getenv`
-/// from parallel test threads is undefined behavior on glibc; the live env
-/// path is exercised by the CI determinism matrix, which sets the variable
-/// before the test process starts).
-fn parse_thread_override(value: &str) -> Option<usize> {
-    value.trim().parse::<usize>().ok().filter(|&n| n >= 1)
 }
 
 /// Maps fixed-size chunks of `items` through `f`, possibly in parallel, and
@@ -232,26 +192,6 @@ mod tests {
     use std::sync::atomic::{AtomicU64, Ordering};
 
     #[test]
-    fn auto_policy_honors_msatpg_threads_values() {
-        // The value grammar is tested through the pure parser —
-        // `Auto.workers()` re-reads the variable on every call, so CI can
-        // matrix thread counts by setting the environment alone (which the
-        // determinism matrix does), and no test mutates the process
-        // environment from a parallel test thread.
-        assert_eq!(parse_thread_override("3"), Some(3));
-        assert_eq!(parse_thread_override(" 8 "), Some(8));
-        assert_eq!(parse_thread_override("1"), Some(1));
-        // Invalid values fall back to the hardware thread count: the
-        // documented grammar of THREADS_ENV_VAR ignores anything that is
-        // not a positive decimal integer, and never panics.
-        for invalid in ["abc", "0", "-2", "lots", "", " ", "1.5", "0x4", "+"] {
-            assert_eq!(parse_thread_override(invalid), None, "value {invalid:?}");
-        }
-        // Whatever the ambient environment says, Auto resolves to >= 1.
-        assert!(ExecPolicy::Auto.workers() >= 1);
-    }
-
-    #[test]
     fn policy_resolution() {
         assert_eq!(ExecPolicy::Serial.workers(), 1);
         assert!(ExecPolicy::Serial.is_serial());
@@ -259,7 +199,6 @@ mod tests {
         assert!(ExecPolicy::Threads(1).is_serial());
         assert_eq!(ExecPolicy::Threads(8).workers(), 8);
         assert!(!ExecPolicy::Threads(8).is_serial());
-        assert!(ExecPolicy::Auto.workers() >= 1);
         assert_eq!(ExecPolicy::default(), ExecPolicy::Serial);
     }
 
@@ -310,7 +249,7 @@ mod tests {
     fn par_reduce_matches_serial_fold() {
         let items: Vec<i64> = (0..500).map(|i| i - 250).collect();
         let expected: i64 = items.iter().map(|&x| x * 3).sum();
-        for policy in [ExecPolicy::Serial, ExecPolicy::Threads(4), ExecPolicy::Auto] {
+        for policy in [ExecPolicy::Serial, ExecPolicy::Threads(4)] {
             let got = par_reduce(
                 policy,
                 &items,

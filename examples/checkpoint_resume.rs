@@ -4,7 +4,10 @@
 //! the uninterrupted one.  Exits non-zero on any divergence.
 //!
 //! Run with `cargo run --release --example checkpoint_resume`; the worker
-//! count follows `MSATPG_THREADS` (the CI matrix runs 1, 2 and 8).
+//! count, PPSFP width and variable ordering follow `MSATPG_THREADS`,
+//! `MSATPG_WORD_WIDTH` and `MSATPG_DVO` through `AtpgOptions::from_env`,
+//! and the first line printed is the resolved `threads:width:dvo` triple
+//! (the CI matrix checks it against the triple it set).
 
 use std::time::Duration;
 
@@ -12,13 +15,24 @@ use msatpg::conversion::constraints::thermometer_codes;
 use msatpg::conversion::FlashAdc;
 use msatpg::core::digital_atpg::DigitalAtpg;
 use msatpg::core::store::{load_checkpoint, save_report};
-use msatpg::core::{CheckpointPolicy, ConverterBlock};
+use msatpg::core::{AtpgOptions, CheckpointPolicy, ConverterBlock, DvoMode};
 use msatpg::digital::benchmarks;
 use msatpg::digital::fault::FaultList;
-use msatpg::exec::{CancelToken, ExecPolicy};
+use msatpg::exec::CancelToken;
 use msatpg::MixedCircuit;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
+    let knobs = AtpgOptions::from_env();
+    let dvo = match knobs.dvo {
+        DvoMode::Never => "never",
+        DvoMode::UntilConvergence => "until-convergence",
+    };
+    println!(
+        "knobs:         {}:{}:{dvo}",
+        knobs.exec.workers(),
+        knobs.word_width.lanes()
+    );
+
     let digital = benchmarks::c432();
     let faults = FaultList::collapsed(&digital);
 
@@ -34,7 +48,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let engine = || -> Result<DigitalAtpg<'_>, Box<dyn std::error::Error>> {
         Ok(DigitalAtpg::new(&digital)
             .with_constraints(&lines, &codes)?
-            .with_policy(ExecPolicy::Auto))
+            .with_dvo(knobs.dvo)
+            .with_policy(knobs.exec)
+            .with_word_width(knobs.word_width))
     };
 
     let dir = std::env::temp_dir().join(format!("msatpg-resume-smoke-{}", std::process::id()));

@@ -49,8 +49,16 @@ for triple in 1:8:never 2:8:until-convergence 8:1:until-convergence; do
     echo "    MSATPG_THREADS=${threads} MSATPG_WORD_WIDTH=${width} MSATPG_DVO=${dvo}"
     MSATPG_THREADS=${threads} MSATPG_WORD_WIDTH=${width} MSATPG_DVO=${dvo} \
         cargo test -q --release --test checkpoint_resume
-    MSATPG_THREADS=${threads} MSATPG_WORD_WIDTH=${width} MSATPG_DVO=${dvo} \
-        cargo run -q --release --example checkpoint_resume
+    out=$(MSATPG_THREADS=${threads} MSATPG_WORD_WIDTH=${width} MSATPG_DVO=${dvo} \
+        cargo run -q --release --example checkpoint_resume)
+    echo "${out}"
+    # The example prints the knobs AtpgOptions::from_env resolved; if they
+    # are not the triple set here, the matrix silently tests the defaults.
+    resolved=$(sed -n 's/^knobs: *//p' <<<"${out}")
+    if [ "${resolved}" != "${triple}" ]; then
+        echo "resolved knobs '${resolved}' differ from the matrix triple '${triple}'" >&2
+        exit 1
+    fi
 done
 
 echo "==> perf-regression smoke (bench_kernels --check)"

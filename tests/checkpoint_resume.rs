@@ -16,7 +16,7 @@ use msatpg::conversion::constraints::{thermometer_codes, AllowedCodes};
 use msatpg::conversion::FlashAdc;
 use msatpg::core::digital_atpg::{AbortReason, AtpgReport, DigitalAtpg};
 use msatpg::core::store::{load_checkpoint, save_report};
-use msatpg::core::{CheckpointPolicy, ConverterBlock, CoreError, StoreError};
+use msatpg::core::{AtpgOptions, CheckpointPolicy, ConverterBlock, CoreError, StoreError};
 use msatpg::digital::benchmarks;
 use msatpg::digital::circuits;
 use msatpg::digital::fault::FaultList;
@@ -119,13 +119,16 @@ fn interrupted_c432_campaign_resumes_byte_identically() {
     );
 
     // The resume grid crosses thread policies with pattern-block widths:
-    // the checkpoint was written by a default-width campaign, and replaying
-    // it under 512-bit PPSFP verification must not move a single byte.
+    // the checkpoint was written by a one-lane campaign, and replaying it
+    // under 512-bit PPSFP verification must not move a single byte.  The
+    // last row is the `MSATPG_THREADS`/`MSATPG_WORD_WIDTH` pair the CI
+    // matrix sets.
+    let knobs = AtpgOptions::from_env();
     for (policy, width) in [
         (ExecPolicy::Serial, WordWidth::W8),
         (ExecPolicy::Threads(2), WordWidth::W1),
         (ExecPolicy::Threads(8), WordWidth::W8),
-        (ExecPolicy::Auto, WordWidth::Auto),
+        (knobs.exec, knobs.word_width),
     ] {
         let resumed = engine(tight)
             .with_resume(snapshot.clone())

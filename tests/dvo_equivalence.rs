@@ -15,7 +15,7 @@ use msatpg::conversion::constraints::{thermometer_codes, AllowedCodes};
 use msatpg::conversion::FlashAdc;
 use msatpg::core::digital_atpg::{AbortReason, AtpgReport, DigitalAtpg};
 use msatpg::core::store::load_checkpoint;
-use msatpg::core::{CheckpointPolicy, ConverterBlock, DvoMode};
+use msatpg::core::{AtpgOptions, CheckpointPolicy, ConverterBlock, DvoMode};
 use msatpg::digital::benchmarks;
 use msatpg::digital::fault::FaultList;
 use msatpg::digital::fault_sim::FaultSimulator;
@@ -67,6 +67,7 @@ fn ppsfp_replayed_coverage(
 ) -> Vec<msatpg::digital::fault::StuckAtFault> {
     let patterns: Vec<Vec<bool>> = report.vectors.iter().map(|v| v.concretize(false)).collect();
     let mut detected = FaultSimulator::new(digital)
+        .with_word_width(AtpgOptions::from_env().word_width)
         .run(faults, &patterns)
         .unwrap()
         .detected()
@@ -89,6 +90,7 @@ fn dvo_modes_produce_equivalent_constrained_reports() {
             .with_constraints(&lines, &codes)
             .unwrap()
             .with_dvo(dvo)
+            .with_word_width(AtpgOptions::from_env().word_width)
     };
 
     let never = engine(DvoMode::Never).run(&faults).unwrap();
@@ -155,6 +157,7 @@ fn dvo_checkpoint_resume_crossover() {
             .with_constraints(&lines, &codes)
             .unwrap()
             .with_dvo(dvo)
+            .with_word_width(AtpgOptions::from_env().word_width)
     };
 
     let reference = engine(DvoMode::UntilConvergence).run(&faults).unwrap();

@@ -11,6 +11,7 @@ use msatpg::bdd::{Assignment, BddManager};
 use msatpg::conversion::constraints::thermometer_codes;
 use msatpg::conversion::{FlashAdc, ResistorLadder};
 use msatpg::core::digital_atpg::{AtpgReport, DigitalAtpg, TestOutcome};
+use msatpg::core::AtpgOptions;
 use msatpg::digital::circuits;
 use msatpg::digital::fault::{FaultList, StuckAtFault};
 use msatpg::digital::fault_sim::FaultSimulator;
@@ -572,7 +573,7 @@ fn ladder_taps_are_monotone() {
 /// The PPSFP fault-simulation engine and the serial reference detect exactly
 /// the same fault sets (and therefore report the same coverage) on the
 /// ISCAS-style benchmark circuits, across pattern-set sizes that exercise
-/// partial and multiple 64-pattern words.
+/// partial and multiple 64-pattern words, at the `MSATPG_WORD_WIDTH` width.
 #[test]
 fn ppsfp_coverage_matches_serial_on_benchmarks() {
     use msatpg::digital::benchmarks;
@@ -580,7 +581,7 @@ fn ppsfp_coverage_matches_serial_on_benchmarks() {
     for name in ["c432", "c499", "c880"] {
         let n = benchmarks::by_name(name).unwrap();
         let faults = FaultList::collapsed(&n);
-        let sim = FaultSimulator::new(&n);
+        let sim = FaultSimulator::new(&n).with_word_width(AtpgOptions::from_env().word_width);
         for &count in &[1usize, 17, 64, 90] {
             let patterns: Vec<Vec<bool>> = (0..count)
                 .map(|_| random_pattern(&mut rng, n.primary_inputs().len()))
@@ -710,26 +711,28 @@ fn assert_reports_identical(a: &AtpgReport, b: &AtpgReport, context: &str) {
     assert_eq!(a.constrained, b.constrained, "{context}: constrained");
 }
 
-/// The policy grid of the determinism suite.  `Auto` is included so the CI
-/// thread matrix (which sets `MSATPG_THREADS` to 1, 2 and 8 around the same
-/// test binary) exercises genuinely different worker counts without any
-/// code change.
+/// The policy grid of the determinism suite.  The last entry is the
+/// `MSATPG_THREADS` policy of [`AtpgOptions::from_env`], so the CI thread
+/// matrix (which sets the variable to 1, 2 and 8 around the same test
+/// binary) exercises genuinely different worker counts without any code
+/// change.
 fn determinism_policies() -> [ExecPolicy; 4] {
     [
         ExecPolicy::Threads(1),
         ExecPolicy::Threads(2),
         ExecPolicy::Threads(8),
-        ExecPolicy::Auto,
+        AtpgOptions::from_env().exec,
     ]
 }
 
 /// Parallel PPSFP fault simulation detects exactly the same faults in
 /// exactly the same order as the serial engine, for thread counts 1, 2,
-/// 8 and `Auto` (whatever `MSATPG_THREADS` resolves it to), with and
-/// without fault dropping.
+/// 8 and `MSATPG_THREADS`, with and without fault dropping, at the
+/// `MSATPG_WORD_WIDTH` block width.
 #[test]
 fn parallel_ppsfp_is_byte_identical_to_serial() {
     use msatpg::digital::benchmarks;
+    let width = AtpgOptions::from_env().word_width;
     let mut rng = SplitMix64::new(0x3A11);
     for name in ["c432", "c880"] {
         let n = benchmarks::by_name(name).unwrap();
@@ -740,11 +743,13 @@ fn parallel_ppsfp_is_byte_identical_to_serial() {
         for dropping in [true, false] {
             let reference = FaultSimulator::new(&n)
                 .with_fault_dropping(dropping)
+                .with_word_width(width)
                 .run(&faults, &patterns)
                 .unwrap();
             for policy in determinism_policies() {
                 let parallel = FaultSimulator::new(&n)
                     .with_fault_dropping(dropping)
+                    .with_word_width(width)
                     .with_policy(policy)
                     .run(&faults, &patterns)
                     .unwrap();
@@ -888,12 +893,12 @@ fn parallel_deviation_analysis_is_byte_identical_to_serial() {
 
 /// The full mixed-signal flow — constrained and unconstrained digital ATPG,
 /// deviation analysis, analog tests and conversion coverage — produces a
-/// byte-identical [`msatpg::TestPlan`] for thread counts 1, 2 and 8.
+/// byte-identical [`msatpg::TestPlan`] for thread counts 1, 2, 8 and
+/// `MSATPG_THREADS`, at the `MSATPG_WORD_WIDTH` width and `MSATPG_DVO` mode.
 #[test]
 fn parallel_test_plan_is_byte_identical_to_serial() {
     use msatpg::analog::filters;
     use msatpg::conversion::constraints::AllowedCodes;
-    use msatpg::core::test_plan::AtpgOptions;
     use msatpg::core::ConverterBlock;
     use msatpg::{MixedCircuit, MixedSignalAtpg};
 
@@ -912,12 +917,19 @@ fn parallel_test_plan_is_byte_identical_to_serial() {
         ));
         mixed
     };
-    let reference = MixedSignalAtpg::new(figure4()).run().unwrap();
+    let knobs = AtpgOptions::from_env();
+    let reference = MixedSignalAtpg::new(figure4())
+        .with_options(AtpgOptions {
+            exec: ExecPolicy::Serial,
+            ..knobs
+        })
+        .run()
+        .unwrap();
     for policy in determinism_policies() {
         let plan = MixedSignalAtpg::new(figure4())
             .with_options(AtpgOptions {
                 exec: policy,
-                ..AtpgOptions::default()
+                ..knobs
             })
             .run()
             .unwrap();
@@ -962,8 +974,9 @@ fn mna_divider_matches_theory() {
 /// The seeded fault-injection harness: under injected panics (isolated),
 /// simulated budget exhaustion (degraded via random patterns) and injected
 /// cancellations, the governed ATPG report is still byte-identical across
-/// every thread count — including `Auto`, which the CI matrix pins to
-/// `MSATPG_THREADS=1/2/8` around this very binary.  The injector is a pure
+/// every thread count — including the `MSATPG_THREADS` one, which the CI
+/// matrix sets to 1, 2 and 8 around this very binary, at its
+/// `MSATPG_WORD_WIDTH` width.  The injector is a pure
 /// function of `(seed, fault index)`, so the same faults are hit no matter
 /// how the work is scheduled.
 #[test]
@@ -981,6 +994,7 @@ fn chaos_governed_atpg_reports_are_byte_identical_across_policies() {
             .with_cancel_rate(11);
         let build = || {
             DigitalAtpg::new(&circuit)
+                .with_word_width(AtpgOptions::from_env().word_width)
                 .with_chaos(chaos)
                 .with_panic_policy(PanicPolicy::Isolate)
                 .with_degradation(DegradePolicy {
@@ -1017,7 +1031,7 @@ fn chaos_governed_atpg_reports_are_byte_identical_across_policies() {
 /// chaos campaign — panics isolated, budgets exhausted into degraded
 /// random-pattern vectors (the code path where the width actually decides
 /// which patterns are batched per cone walk) — produces a byte-identical
-/// [`AtpgReport`] for every `MSATPG_WORD_WIDTH` × thread-count combination.
+/// [`AtpgReport`] for every word-width × thread-count combination.
 #[test]
 fn governed_atpg_reports_are_byte_identical_across_word_widths() {
     use msatpg::core::digital_atpg::DegradePolicy;
