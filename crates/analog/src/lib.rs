@@ -48,10 +48,6 @@ pub mod sensitivity;
 pub mod signal;
 pub mod tolerance;
 
-/// Execution policy of the workspace worker pool (re-export of
-/// [`msatpg_exec::ExecPolicy`]).
-pub use msatpg_exec::ExecPolicy;
-
 pub use complex::Complex;
 pub use fault::{AnalogFault, AnalogFaultKind};
 pub use filters::FilterCircuit;
@@ -94,9 +90,6 @@ pub enum AnalogError {
         /// Description of the feature that was searched for.
         what: String,
     },
-    /// A cooperative [`msatpg_exec::CancelToken`] fired while a sweep was in
-    /// progress; the partial work was discarded.
-    Cancelled,
 }
 
 impl fmt::Display for AnalogError {
@@ -111,7 +104,6 @@ impl fmt::Display for AnalogError {
             AnalogError::ParameterNotFound { what } => {
                 write!(f, "response feature not found in sweep range: {what}")
             }
-            AnalogError::Cancelled => write!(f, "analog sweep cancelled"),
         }
     }
 }

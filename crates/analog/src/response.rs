@@ -1,15 +1,8 @@
 //! Frequency-response extraction: sweeps, peak search and cut-off frequencies.
 
-use msatpg_exec::{par_map_chunks, CancelToken, ExecPolicy};
-
 use crate::mna::Mna;
 use crate::netlist::{Circuit, NodeId};
 use crate::AnalogError;
-
-/// Number of sweep points per parallel work unit: large enough to amortize
-/// the per-chunk engine stamping, small enough to balance a default sweep
-/// (~211 points) across a handful of workers.
-const SWEEP_CHUNK: usize = 32;
 
 /// Configuration of the logarithmic frequency sweep used when extracting
 /// response parameters.
@@ -83,114 +76,6 @@ impl FrequencyResponse {
         for f in config.frequencies() {
             let gain = mna.gain(source, output, f)?;
             points.push((f, gain));
-        }
-        Ok(FrequencyResponse { points })
-    }
-
-    /// [`FrequencyResponse::sweep_with_mna`] under a cooperative
-    /// [`CancelToken`]: one unit of the token's step quota is charged per
-    /// sweep frequency, so a step-quota token interrupts the sweep after a
-    /// deterministic number of points (a wall-clock deadline interrupts at
-    /// the first point past it).  The partial sweep is discarded.
-    ///
-    /// # Errors
-    ///
-    /// [`AnalogError::Cancelled`] when the token fires mid-sweep; otherwise
-    /// solver errors (singular MNA matrix, unknown source).
-    pub fn sweep_with_mna_cancellable(
-        mna: &Mna<'_>,
-        source: &str,
-        output: NodeId,
-        config: &SweepConfig,
-        cancel: &CancelToken,
-    ) -> Result<Self, AnalogError> {
-        let mut points = Vec::new();
-        for f in config.frequencies() {
-            if !cancel.charge(1) {
-                return Err(AnalogError::Cancelled);
-            }
-            let gain = mna.gain(source, output, f)?;
-            points.push((f, gain));
-        }
-        Ok(FrequencyResponse { points })
-    }
-
-    /// Samples the response with the sweep's frequency grid split into
-    /// chunks executed on the worker pool; each chunk stamps its own MNA
-    /// engine.  A solve at one frequency is a pure function of the circuit,
-    /// so the sampled points are bit-identical to [`FrequencyResponse::sweep`]
-    /// under every [`ExecPolicy`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates solver errors (singular MNA matrix, unknown source).
-    pub fn sweep_policy(
-        circuit: &Circuit,
-        source: &str,
-        output: NodeId,
-        config: &SweepConfig,
-        policy: ExecPolicy,
-    ) -> Result<Self, AnalogError> {
-        if policy.is_serial() {
-            // One engine for the whole grid beats per-chunk stamping.
-            return Self::sweep(circuit, source, output, config);
-        }
-        let freqs = config.frequencies();
-        let chunks = par_map_chunks(policy, &freqs, SWEEP_CHUNK, |_, _, chunk_freqs| {
-            let mna = Mna::new(circuit);
-            chunk_freqs
-                .iter()
-                .map(|&f| mna.gain(source, output, f).map(|g| (f, g)))
-                .collect::<Result<Vec<(f64, f64)>, AnalogError>>()
-        });
-        let mut points = Vec::with_capacity(freqs.len());
-        for chunk in chunks {
-            points.extend(chunk?);
-        }
-        Ok(FrequencyResponse { points })
-    }
-
-    /// [`FrequencyResponse::sweep_policy`] under a cooperative
-    /// [`CancelToken`].  The whole grid is charged against the token's step
-    /// quota **up front** (one unit per frequency) — an all-or-nothing
-    /// decision that is deterministic under every [`ExecPolicy`] — and the
-    /// workers additionally poll [`CancelToken::is_cancelled`] at chunk
-    /// entry so an external cancel or a wall-clock deadline stops the sweep
-    /// early.
-    ///
-    /// # Errors
-    ///
-    /// [`AnalogError::Cancelled`] when the token fires; otherwise solver
-    /// errors.
-    pub fn sweep_policy_cancellable(
-        circuit: &Circuit,
-        source: &str,
-        output: NodeId,
-        config: &SweepConfig,
-        policy: ExecPolicy,
-        cancel: &CancelToken,
-    ) -> Result<Self, AnalogError> {
-        if policy.is_serial() {
-            let mna = Mna::new(circuit);
-            return Self::sweep_with_mna_cancellable(&mna, source, output, config, cancel);
-        }
-        let freqs = config.frequencies();
-        if !cancel.charge(freqs.len() as u64) {
-            return Err(AnalogError::Cancelled);
-        }
-        let chunks = par_map_chunks(policy, &freqs, SWEEP_CHUNK, |_, _, chunk_freqs| {
-            if cancel.is_cancelled() {
-                return Err(AnalogError::Cancelled);
-            }
-            let mna = Mna::new(circuit);
-            chunk_freqs
-                .iter()
-                .map(|&f| mna.gain(source, output, f).map(|g| (f, g)))
-                .collect::<Result<Vec<(f64, f64)>, AnalogError>>()
-        });
-        let mut points = Vec::with_capacity(freqs.len());
-        for chunk in chunks {
-            points.extend(chunk?);
         }
         Ok(FrequencyResponse { points })
     }
@@ -661,21 +546,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_sweep_is_bit_identical_to_serial() {
-        let (c, vout) = active_bandpass();
-        let config = SweepConfig::default();
-        let reference = FrequencyResponse::sweep(&c, "Vin", vout, &config).unwrap();
-        for policy in [
-            ExecPolicy::Serial,
-            ExecPolicy::Threads(2),
-            ExecPolicy::Threads(8),
-        ] {
-            let swept = FrequencyResponse::sweep_policy(&c, "Vin", vout, &config, policy).unwrap();
-            assert_eq!(swept.points(), reference.points(), "{policy:?}");
-        }
-    }
-
-    #[test]
     fn shared_mna_analyzer_matches_owned_and_reuses_factorizations() {
         let (c, vout) = rc_lowpass(1000.0);
         let mna = Mna::new(&c);
@@ -700,53 +570,5 @@ mod tests {
         let resp =
             FrequencyResponse::sweep_with_mna(&mna, "Vin", vout, &SweepConfig::default()).unwrap();
         assert!(!resp.points().is_empty());
-    }
-
-    #[test]
-    fn cancellable_sweep_matches_plain_when_the_quota_suffices() {
-        let (c, vout) = rc_lowpass(1000.0);
-        let config = SweepConfig::default();
-        let mna = Mna::new(&c);
-        let plain = FrequencyResponse::sweep_with_mna(&mna, "Vin", vout, &config).unwrap();
-        let token = CancelToken::new();
-        let governed =
-            FrequencyResponse::sweep_with_mna_cancellable(&mna, "Vin", vout, &config, &token)
-                .unwrap();
-        assert_eq!(governed.points(), plain.points());
-        for policy in [ExecPolicy::Serial, ExecPolicy::Threads(2)] {
-            let token = CancelToken::with_step_quota(config.frequencies().len() as u64 + 8);
-            let parallel = FrequencyResponse::sweep_policy_cancellable(
-                &c, "Vin", vout, &config, policy, &token,
-            )
-            .unwrap();
-            assert_eq!(parallel.points(), plain.points());
-        }
-    }
-
-    #[test]
-    fn step_quota_interrupts_the_sweep_deterministically() {
-        let (c, vout) = rc_lowpass(1000.0);
-        let config = SweepConfig::default();
-        let grid = config.frequencies().len() as u64;
-        assert!(grid > 10, "the default grid spans many points");
-        // Serial: the quota fires mid-grid, after a deterministic number of
-        // per-frequency charges.
-        let mna = Mna::new(&c);
-        let token = CancelToken::with_step_quota(10);
-        let result =
-            FrequencyResponse::sweep_with_mna_cancellable(&mna, "Vin", vout, &config, &token);
-        assert_eq!(result, Err(AnalogError::Cancelled));
-        assert!(token.is_cancelled());
-        // Parallel: the whole grid is charged up front, all or nothing.
-        let token = CancelToken::with_step_quota(grid / 2);
-        let result = FrequencyResponse::sweep_policy_cancellable(
-            &c,
-            "Vin",
-            vout,
-            &config,
-            ExecPolicy::Threads(2),
-            &token,
-        );
-        assert_eq!(result, Err(AnalogError::Cancelled));
     }
 }

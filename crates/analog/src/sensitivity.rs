@@ -179,8 +179,6 @@ pub struct WorstCaseAnalysis<'a> {
     element_tolerance: Tolerance,
     worst_case: bool,
     max_deviation: f64,
-    elements: Option<Vec<ElementId>>,
-    policy: ExecPolicy,
 }
 
 impl<'a> WorstCaseAnalysis<'a> {
@@ -195,21 +193,7 @@ impl<'a> WorstCaseAnalysis<'a> {
             element_tolerance: Tolerance::default(),
             worst_case: true,
             max_deviation: 5.0,
-            elements: None,
-            policy: ExecPolicy::Serial,
         }
-    }
-
-    /// Sets the execution policy: deviation rows are independent, so they
-    /// are distributed over the worker pool.  Every probe is a rank-one
-    /// update of the engine's nominal systems ([`Mna::probe`]), whose result
-    /// does not depend on what the engine solved before, which makes the
-    /// report a pure function of the inputs — `Threads(n)` output is
-    /// byte-identical to `Serial` for every `n` (asserted by the determinism
-    /// suite).
-    pub fn with_policy(mut self, policy: ExecPolicy) -> Self {
-        self.policy = policy;
-        self
     }
 
     /// Sets the parameter tolerance box (fraction, e.g. `0.05`).
@@ -237,14 +221,20 @@ impl<'a> WorstCaseAnalysis<'a> {
         self
     }
 
-    /// Restricts the analysis to a subset of elements (default: all passive
-    /// elements).
-    pub fn with_elements(mut self, elements: Vec<ElementId>) -> Self {
-        self.elements = Some(elements);
-        self
+    /// Runs the analysis on the caller's thread: [`Self::run_on`] over a
+    /// serial pool.
+    ///
+    /// # Errors
+    ///
+    /// Propagates measurement errors (singular matrices, unknown nodes,
+    /// missing response features).
+    pub fn run(&self) -> Result<DeviationReport, AnalogError> {
+        self.run_on(&WorkerPool::new(ExecPolicy::Serial))
     }
 
-    /// Runs the analysis.
+    /// Runs the analysis on a caller-provided [`WorkerPool`], so a larger
+    /// flow (the mixed-signal ATPG) charges the deviation rows to the same
+    /// pool as its other stages.
     ///
     /// Every worker owns one MNA engine for the whole run.  Each deviation
     /// probe — one step of an element's sensitivity or threshold search —
@@ -252,32 +242,18 @@ impl<'a> WorstCaseAnalysis<'a> {
     /// factorizations ([`Mna::probe`]), so the engine is never patched,
     /// its warm systems serve every row it claims, and a row's value does
     /// not depend on which worker computed it.  Rows are independent, so
-    /// they run on the worker pool under the configured [`ExecPolicy`] and
-    /// are merged back in `(parameter, element)` order.  The worst-case
-    /// masking sensitivities are computed once per `(parameter, element)`
-    /// pair and shared across all faulty-element rows of the parameter.
-    ///
-    /// # Errors
-    ///
-    /// Propagates measurement errors (singular matrices, unknown nodes,
-    /// missing response features).
-    pub fn run(&self) -> Result<DeviationReport, AnalogError> {
-        self.run_on(&WorkerPool::new(self.policy))
-    }
-
-    /// Like [`WorstCaseAnalysis::run`], but rides a caller-provided
-    /// [`WorkerPool`] so a larger flow (the mixed-signal ATPG) charges the
-    /// deviation rows to the same pool as its other stages.
+    /// they run on the pool and are merged back in `(parameter, element)`
+    /// order, so the report is byte-identical on every pool.  The
+    /// worst-case masking sensitivities are computed once per
+    /// `(parameter, element)` pair and shared across all faulty-element rows
+    /// of the parameter.
     ///
     /// # Errors
     ///
     /// Propagates measurement errors (singular matrices, unknown nodes,
     /// missing response features).
     pub fn run_on(&self, pool: &WorkerPool) -> Result<DeviationReport, AnalogError> {
-        let elements = match &self.elements {
-            Some(e) => e.clone(),
-            None => self.circuit.passive_elements(),
-        };
+        let elements = self.circuit.passive_elements();
         let element_names: Vec<(ElementId, String)> = elements
             .iter()
             .map(|&id| (id, self.circuit.element(id).name.clone()))
@@ -549,8 +525,7 @@ mod tests {
         for threads in [1usize, 2, 8] {
             let parallel = WorstCaseAnalysis::new(&c, &specs)
                 .with_worst_case(true)
-                .with_policy(ExecPolicy::Threads(threads))
-                .run()
+                .run_on(&WorkerPool::new(ExecPolicy::Threads(threads)))
                 .unwrap();
             // DeviationRow derives PartialEq over exact f64 values: this is
             // bit-identity, not tolerance equality.

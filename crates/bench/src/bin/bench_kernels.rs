@@ -27,12 +27,12 @@ use msatpg_bench::{
 };
 use msatpg_conversion::constraints::thermometer_codes;
 use msatpg_core::constraint::{constraint_bdd, declare_input_variables};
-use msatpg_core::{pi_order, DigitalAtpg, StaticOrder};
+use msatpg_core::DigitalAtpg;
 use msatpg_digital::benchmarks;
 use msatpg_digital::fault::FaultList;
 use msatpg_digital::fault_sim::{FaultCones, FaultSimulator, WordWidth};
 use msatpg_digital::prng::SplitMix64;
-use msatpg_exec::ExecPolicy;
+use msatpg_exec::{ExecPolicy, WorkerPool};
 
 /// Times one closure, running it `reps` times and returning seconds/run.
 fn time<F: FnMut()>(reps: usize, mut f: F) -> f64 {
@@ -285,8 +285,11 @@ fn bench_pipelined_scaling(name: &str) -> PipelinedScalingReport {
     let mut rows = Vec::new();
     let mut baseline = 0.0;
     for workers in [1usize, 2, 4] {
-        let build = || DigitalAtpg::new(&netlist).with_policy(ExecPolicy::Threads(workers));
-        let check = build().run(&faults).expect("campaign");
+        let run = || {
+            DigitalAtpg::new(&netlist)
+                .run_on(&WorkerPool::new(ExecPolicy::Threads(workers)), &faults)
+        };
+        let check = run().expect("campaign");
         assert_eq!(
             check.detected, reference.detected,
             "{name} at {workers} workers"
@@ -296,7 +299,7 @@ fn bench_pipelined_scaling(name: &str) -> PipelinedScalingReport {
             "{name} at {workers} workers"
         );
         let seconds = time(3, || {
-            std::hint::black_box(build().run(&faults).unwrap());
+            std::hint::black_box(run().unwrap());
         });
         if workers == 1 {
             baseline = seconds;
@@ -492,10 +495,10 @@ fn check_bdd_memory(measured: &Json) -> Vec<String> {
 }
 
 /// Variable-ordering profile of the arena: each workload is built under a
-/// deliberately bad static order inside a fixed [`BddBudget`] live-node cap
-/// (an infallible build that would blow the cap panics, so merely finishing
-/// *is* the enforcement), then sifted to convergence at a safe point with
-/// every root protected.  All numbers are node counts — deterministic, so
+/// deliberately bad declaration order inside a fixed [`BddBudget`]
+/// live-node cap (an infallible build that would blow the cap panics, so
+/// merely finishing *is* the enforcement), then sifted to convergence at a
+/// safe point with every root protected.  All numbers are node counts — deterministic, so
 /// `--check` compares them exactly against the committed baseline.
 struct BddReorderReport {
     /// Bits of the order-sensitive pairs workload: `OR of (a_i AND b_i)`
@@ -582,7 +585,7 @@ fn bench_bdd_reorder(pairs_bits: usize, example3_circuit: &str) -> BddReorderRep
     let example3_nodes_declared = reference.live_node_count();
     let mut m3 = BddManager::new();
     m3.set_budget(BddBudget::UNLIMITED.with_max_live_nodes(BDD_REORDER_NODE_CAP));
-    for &pi in &pi_order(&netlist, StaticOrder::Reversed) {
+    for &pi in netlist.primary_inputs().iter().rev() {
         m3.var(netlist.signal_name(pi));
     }
     let values = msatpg_bench::signal_functions(&mut m3, &netlist);
@@ -602,7 +605,7 @@ fn bench_bdd_reorder(pairs_bits: usize, example3_circuit: &str) -> BddReorderRep
         let netlist = benchmarks::by_name(name).expect("known benchmark");
         let mut m = BddManager::new();
         m.set_budget(BddBudget::UNLIMITED.with_max_live_nodes(BDD_REORDER_NODE_CAP));
-        for &pi in &pi_order(&netlist, StaticOrder::Reversed) {
+        for &pi in netlist.primary_inputs().iter().rev() {
             m.var(netlist.signal_name(pi));
         }
         declare_input_variables(&mut m, &netlist);

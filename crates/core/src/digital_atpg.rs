@@ -35,7 +35,7 @@ use msatpg_digital::sim::Simulator;
 use msatpg_exec::{CancelToken, ChaosEvent, ChaosInjector, ExecPolicy, PanicPolicy, WorkerPool};
 
 use crate::constraint::{constraint_bdd, declare_input_variables};
-use crate::ordering::{DvoMode, StaticOrder};
+use crate::ordering::DvoMode;
 use crate::store::{self, Checkpoint, CheckpointPolicy};
 use crate::CoreError;
 
@@ -306,6 +306,9 @@ impl Dropping {
 struct ReplayState<'n> {
     netlist: &'n Netlist,
     dropping: Option<Dropping>,
+    /// The run's pool's panic policy, applied where the replay decides an
+    /// outcome.
+    panic_policy: PanicPolicy,
     journal: CampaignJournal,
     vectors: Vec<TestVector>,
     untestable: Vec<StuckAtFault>,
@@ -320,12 +323,14 @@ impl<'n> ReplayState<'n> {
         fault_dropping: bool,
         faults: &FaultList,
         width: WordWidth,
+        panic_policy: PanicPolicy,
         journal: CampaignJournal,
     ) -> Self {
         let dropping = fault_dropping.then(|| Dropping::new(netlist, faults, width));
         ReplayState {
             netlist,
             dropping,
+            panic_policy,
             journal,
             vectors: Vec::new(),
             untestable: Vec::new(),
@@ -413,7 +418,6 @@ pub struct DigitalAtpg<'a> {
     d_var: VarId,
     fault_dropping: bool,
     constrained: bool,
-    policy: ExecPolicy,
     width: WordWidth,
     /// The inputs of [`DigitalAtpg::with_constraints`], kept so parallel
     /// workers can rebuild an equivalent engine.
@@ -421,11 +425,9 @@ pub struct DigitalAtpg<'a> {
     budget: BddBudget,
     cancel: Option<CancelToken>,
     chaos: Option<ChaosInjector>,
-    panic_policy: PanicPolicy,
     degrade: DegradePolicy,
     checkpoint: Option<(CheckpointPolicy, PathBuf)>,
     resume: Option<Checkpoint>,
-    static_order: StaticOrder,
     dvo: DvoMode,
 }
 
@@ -523,23 +525,7 @@ impl<'a> DigitalAtpg<'a> {
     /// Builds the generator for a netlist without constraints (`Fc = 1`),
     /// declaring the input variables in netlist order (the paper's order).
     pub fn new(netlist: &'a Netlist) -> Self {
-        Self::new_ordered(netlist, StaticOrder::Declaration)
-    }
-
-    /// Builds the generator with the primary-input variables declared in
-    /// the order computed by the static heuristic `order` (see
-    /// [`StaticOrder`]); the composite variable `D` stays last regardless.
-    /// Everything downstream addresses variables by name, so any order
-    /// produces equivalent (though not byte-identical) results — only the
-    /// OBDD sizes change.
-    pub fn new_ordered(netlist: &'a Netlist, order: StaticOrder) -> Self {
         let mut manager = BddManager::new();
-        // Pre-declare the inputs in the heuristic's order; the by-name
-        // declaration below is then a no-op lookup that returns the
-        // literals in netlist order for the signal table.
-        for &pi in &crate::ordering::pi_order(netlist, order) {
-            manager.var_id(netlist.signal_name(pi));
-        }
         let pi_literals = declare_input_variables(&mut manager, netlist);
         // The composite variable is declared last, as prescribed by the
         // paper's ordering.
@@ -567,17 +553,14 @@ impl<'a> DigitalAtpg<'a> {
             d_var,
             fault_dropping: true,
             constrained: false,
-            policy: ExecPolicy::Serial,
             width: WordWidth::W1,
             constraint_spec: None,
             budget: BddBudget::UNLIMITED,
             cancel: None,
             chaos: None,
-            panic_policy: PanicPolicy::FailFast,
             degrade: DegradePolicy::default(),
             checkpoint: None,
             resume: None,
-            static_order: order,
             dvo: DvoMode::Never,
         }
     }
@@ -627,16 +610,6 @@ impl<'a> DigitalAtpg<'a> {
     /// (enabled by default).
     pub fn with_fault_dropping(mut self, enabled: bool) -> Self {
         self.fault_dropping = enabled;
-        self
-    }
-
-    /// Sets the execution policy of [`Self::run`].  Under `Threads(n)` the
-    /// per-fault test sets are generated speculatively in parallel (each
-    /// worker builds its own OBDD engine) and the fault-dropping pass
-    /// replays them sequentially, so the report is byte-identical to a
-    /// serial run.
-    pub fn with_policy(mut self, policy: ExecPolicy) -> Self {
-        self.policy = policy;
         self
     }
 
@@ -699,23 +672,13 @@ impl<'a> DigitalAtpg<'a> {
 
     /// Installs a deterministic fault-injection harness: at each fault
     /// target the injector (a pure function of its seed and the fault
-    /// index) may simulate a budget exhaustion, a cancellation, or — under
-    /// [`PanicPolicy::Isolate`] — genuinely panic inside the generation job
-    /// to exercise the isolation machinery.  The *report* is decided by the
-    /// replay driver from the injector alone, so it is byte-identical across
-    /// thread counts for a given seed.
+    /// index) may simulate a budget exhaustion, a cancellation, or
+    /// genuinely panic inside the generation job to exercise the pool's
+    /// [`PanicPolicy`].  The *report* is decided by the replay driver from
+    /// the injector alone, so it is byte-identical across thread counts for
+    /// a given seed.
     pub fn with_chaos(mut self, chaos: ChaosInjector) -> Self {
         self.chaos = Some(chaos);
-        self
-    }
-
-    /// Sets how generation panics are handled (default
-    /// [`PanicPolicy::FailFast`]): under [`PanicPolicy::Isolate`] a panic
-    /// while generating one fault's test set is confined to that fault
-    /// (reported as [`TestOutcome::Aborted`] with [`AbortReason::Panic`])
-    /// and the run — including the worker pool and its sessions — continues.
-    pub fn with_panic_policy(mut self, panic_policy: PanicPolicy) -> Self {
-        self.panic_policy = panic_policy;
         self
     }
 
@@ -872,27 +835,30 @@ impl<'a> DigitalAtpg<'a> {
         Ok(TestOutcome::Untestable)
     }
 
-    /// Runs the generator over a whole fault list, with fault dropping.
-    ///
-    /// Under a threaded [`ExecPolicy`] (see [`Self::with_policy`]) the run
-    /// is **pipelined**: worker engines generate the test sets of fault
-    /// chunk *k+1* while the sequential fault-dropping replay consumes
-    /// chunk *k* on the caller's thread (see [`Self::run_on`]).
+    /// Runs the generator over a whole fault list, with fault dropping, on
+    /// the caller's thread: [`Self::run_on`] over a serial, fail-fast pool.
     ///
     /// # Errors
     ///
     /// Propagates simulation errors from the fault-dropping pass (cannot
     /// occur for well-formed vectors).
     pub fn run(&mut self, faults: &FaultList) -> Result<AtpgReport, CoreError> {
-        let pool = WorkerPool::new(self.policy).with_panic_policy(self.panic_policy);
-        self.run_on(&pool, faults)
+        self.run_on(&WorkerPool::new(ExecPolicy::Serial), faults)
     }
 
     /// Like [`Self::run`], but rides a caller-provided [`WorkerPool`] so a
     /// larger flow (the mixed-signal ATPG) shares one pool across stages.
-    /// The **pool's policy** decides the worker count here;
-    /// [`Self::with_policy`] only configures the pool that [`Self::run`]
-    /// builds internally.
+    /// The pool alone decides how the run executes:
+    ///
+    /// * its [`ExecPolicy`] sets the worker count — a threaded pool
+    ///   **pipelines** the run, generating the test sets of fault chunk
+    ///   *k+1* on worker engines while the sequential fault-dropping replay
+    ///   consumes chunk *k* on the caller's thread;
+    /// * its [`PanicPolicy`] decides what a generation panic does, on
+    ///   serial and pipelined runs alike: `FailFast` propagates it, while
+    ///   `Isolate` confines it to its fault (reported as
+    ///   [`TestOutcome::Aborted`] with [`AbortReason::Panic`]) and the run —
+    ///   including the pool and its sessions — continues.
     ///
     /// The pipeline works in rounds of `REPLAY_CHUNK` faults: while the
     /// replay consumes the outcomes of round *k*, the pool generates round
@@ -922,6 +888,7 @@ impl<'a> DigitalAtpg<'a> {
             self.fault_dropping,
             faults,
             self.width,
+            pool.panic_policy(),
             journal,
         );
         let slots = self.resume_slots(faults)?;
@@ -968,7 +935,7 @@ impl<'a> DigitalAtpg<'a> {
         let outcome = match slots.get(k).and_then(|s| s.clone()) {
             Some(outcome) => outcome,
             None if prescreened || replay.covered(fault) => TestOutcome::PreviouslyDetected,
-            None => self.decide(k, fault, speculative)?,
+            None => self.decide(k, fault, replay.panic_policy, speculative)?,
         };
         replay.consume(fault, outcome)
     }
@@ -1023,19 +990,21 @@ impl<'a> DigitalAtpg<'a> {
     /// generation is a pure function of the fault), so the report is
     /// byte-identical across thread counts.
     ///
-    /// `speculative` carries a worker's pre-computed result when one exists;
-    /// governed generation is a pure function of the fault, so reusing it is
-    /// indistinguishable from generating inline.
+    /// `panic_policy` is the pool's.  `speculative` carries a worker's
+    /// pre-computed result when one exists; governed generation is a pure
+    /// function of the fault, so reusing it is indistinguishable from
+    /// generating inline.
     fn decide(
         &mut self,
         index: usize,
         fault: StuckAtFault,
+        panic_policy: PanicPolicy,
         speculative: Option<Result<TestOutcome, BddError>>,
     ) -> Result<TestOutcome, CoreError> {
         if let Some(chaos) = self.chaos {
             match chaos.fires(index as u64) {
                 Some(ChaosEvent::Panic) => {
-                    if self.panic_policy == PanicPolicy::Isolate {
+                    if panic_policy == PanicPolicy::Isolate {
                         return Ok(TestOutcome::Aborted(AbortReason::Panic));
                     }
                     // FailFast means exactly that, in serial and pipelined
@@ -1060,7 +1029,7 @@ impl<'a> DigitalAtpg<'a> {
         }
         let result = match speculative {
             Some(result) => result.map_err(GenFailure::Bdd),
-            None => self.guarded_generate(fault),
+            None => self.guarded_generate(fault, panic_policy),
         };
         match result {
             Ok(outcome) => Ok(outcome),
@@ -1076,8 +1045,12 @@ impl<'a> DigitalAtpg<'a> {
     /// [`PanicPolicy::Isolate`] a panic is caught and confined to this
     /// fault (the manager may retain a few pinned transient nodes from the
     /// interrupted recursion — safe, at worst a small arena leak).
-    fn guarded_generate(&mut self, fault: StuckAtFault) -> Result<TestOutcome, GenFailure> {
-        if self.panic_policy == PanicPolicy::Isolate {
+    fn guarded_generate(
+        &mut self,
+        fault: StuckAtFault,
+        panic_policy: PanicPolicy,
+    ) -> Result<TestOutcome, GenFailure> {
+        if panic_policy == PanicPolicy::Isolate {
             match catch_unwind(AssertUnwindSafe(|| self.try_generate(fault))) {
                 Ok(result) => result.map_err(GenFailure::Bdd),
                 Err(_) => Err(GenFailure::Panicked),
@@ -1196,7 +1169,6 @@ impl<'a> DigitalAtpg<'a> {
         let budget = self.budget;
         let cancel = self.cancel.clone();
         let chaos = self.chaos;
-        let static_order = self.static_order;
         let dvo = self.dvo;
         // Replay-side coverage flags: set by the driver strictly between
         // rounds (prescreen), read by the workers to skip doomed
@@ -1213,7 +1185,7 @@ impl<'a> DigitalAtpg<'a> {
         pool.session(
             chunks_per_round,
             || {
-                let engine = DigitalAtpg::new_ordered(netlist, static_order);
+                let engine = DigitalAtpg::new(netlist);
                 let engine = match &spec {
                     Some((lines, codes)) => engine
                         .with_constraints(lines, codes)
@@ -1223,9 +1195,9 @@ impl<'a> DigitalAtpg<'a> {
                 // Worker engines mirror the primary's governance so their
                 // speculative results match inline generation bit for bit;
                 // they only *observe* the cancel token (never charge it).
-                // The variable order is replayed too: same static order,
-                // same sift at the same safe point (constraints and budget
-                // armed), so speculative cubes match the driver's.
+                // The variable order is replayed too: same declaration
+                // order, same sift at the same safe point (constraints and
+                // budget armed), so speculative cubes match the driver's.
                 let engine = engine.with_budget(budget).with_dvo(dvo);
                 match &cancel {
                     Some(token) => engine.with_cancel_token(token.clone()),
@@ -1597,10 +1569,10 @@ mod tests {
                 .run(&figure3_faults)
                 .unwrap();
             for threads in [2usize, 8] {
+                let pool = WorkerPool::new(ExecPolicy::Threads(threads));
                 let parallel = DigitalAtpg::new(&adder)
                     .with_fault_dropping(dropping)
-                    .with_policy(ExecPolicy::Threads(threads))
-                    .run(&adder_faults)
+                    .run_on(&pool, &adder_faults)
                     .unwrap();
                 assert_eq!(parallel.detected, reference.detected);
                 assert_eq!(parallel.untestable, reference.untestable);
@@ -1609,8 +1581,7 @@ mod tests {
                     .with_constraints(&[l0, l2], &example2_constraint())
                     .unwrap()
                     .with_fault_dropping(dropping)
-                    .with_policy(ExecPolicy::Threads(threads))
-                    .run(&figure3_faults)
+                    .run_on(&pool, &figure3_faults)
                     .unwrap();
                 assert_eq!(parallel.detected, constrained_reference.detected);
                 assert_eq!(parallel.untestable, constrained_reference.untestable);
@@ -1629,10 +1600,7 @@ mod tests {
         universe.extend(universe.clone());
         let faults = FaultList::from_faults(universe);
         let pool = WorkerPool::new(ExecPolicy::Threads(2));
-        let report = DigitalAtpg::new(&circuit)
-            .with_policy(ExecPolicy::Threads(2))
-            .run_on(&pool, &faults)
-            .unwrap();
+        let report = DigitalAtpg::new(&circuit).run_on(&pool, &faults).unwrap();
         let reference = DigitalAtpg::new(&circuit).run(&faults).unwrap();
         assert_eq!(report.vectors, reference.vectors);
         assert_eq!(report.detected, reference.detected);
@@ -1768,8 +1736,7 @@ mod tests {
         for threads in [2usize, 8] {
             let parallel = DigitalAtpg::new(&circuit)
                 .with_budget(budget)
-                .with_policy(ExecPolicy::Threads(threads))
-                .run(&faults)
+                .run_on(&WorkerPool::new(ExecPolicy::Threads(threads)), &faults)
                 .unwrap();
             assert_reports_identical(&parallel, &reference);
         }
@@ -1822,8 +1789,7 @@ mod tests {
         for threads in [2usize, 8] {
             let parallel = DigitalAtpg::new(&circuit)
                 .with_cancel_token(CancelToken::with_step_quota(quota))
-                .with_policy(ExecPolicy::Threads(threads))
-                .run(&faults)
+                .run_on(&WorkerPool::new(ExecPolicy::Threads(threads)), &faults)
                 .unwrap();
             assert_reports_identical(&parallel, &reference);
         }
@@ -1848,14 +1814,19 @@ mod tests {
 
     #[test]
     fn chaos_isolate_confines_injected_panics_and_stays_deterministic() {
+        // The pool's panic policy alone decides: an isolating pool confines
+        // every injected panic to its fault, serial and pipelined alike.
         let circuit = circuits::adder4();
         let faults = FaultList::collapsed(&circuit);
         let chaos = ChaosInjector::new(0xC0FFEE).with_panic_rate(5);
-        let reference = DigitalAtpg::new(&circuit)
-            .with_chaos(chaos)
-            .with_panic_policy(PanicPolicy::Isolate)
-            .run(&faults)
-            .unwrap();
+        let run = |policy| {
+            let pool = WorkerPool::new(policy).with_panic_policy(PanicPolicy::Isolate);
+            DigitalAtpg::new(&circuit)
+                .with_chaos(chaos)
+                .run_on(&pool, &faults)
+                .unwrap()
+        };
+        let reference = run(ExecPolicy::Serial);
         assert!(
             reference
                 .aborted
@@ -1868,13 +1839,7 @@ mod tests {
             faults.len()
         );
         for threads in [2usize, 8] {
-            let parallel = DigitalAtpg::new(&circuit)
-                .with_chaos(chaos)
-                .with_panic_policy(PanicPolicy::Isolate)
-                .with_policy(ExecPolicy::Threads(threads))
-                .run(&faults)
-                .unwrap();
-            assert_reports_identical(&parallel, &reference);
+            assert_reports_identical(&run(ExecPolicy::Threads(threads)), &reference);
         }
     }
 
@@ -1927,7 +1892,6 @@ mod tests {
         let pool = WorkerPool::new(ExecPolicy::Threads(2)).with_panic_policy(PanicPolicy::Isolate);
         let chaotic = DigitalAtpg::new(&circuit)
             .with_chaos(ChaosInjector::new(0xBAD).with_panic_rate(4))
-            .with_panic_policy(PanicPolicy::Isolate)
             .run_on(&pool, &faults)
             .unwrap();
         assert!(chaotic.aborted_count() > 0);

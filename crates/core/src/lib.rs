@@ -46,7 +46,7 @@ pub use digital_atpg::{
     AbortReason, AtpgReport, DegradePolicy, DigitalAtpg, TestOutcome, TestVector,
 };
 pub use mixed_circuit::{ConverterBlock, MixedCircuit};
-pub use ordering::{pi_order, DvoMode, StaticOrder};
+pub use ordering::DvoMode;
 pub use propagation::{PropagationEngine, PropagationResult};
 pub use store::{Checkpoint, CheckpointPolicy, StoreError};
 pub use test_plan::{AtpgOptions, MixedSignalAtpg, TestPlan};

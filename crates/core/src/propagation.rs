@@ -17,7 +17,7 @@ use msatpg_digital::netlist::{Netlist, SignalId};
 use msatpg_digital::sim::CompositeSimulator;
 
 use crate::digital_atpg::apply_gate;
-use crate::ordering::{pi_order, DvoMode, StaticOrder};
+use crate::ordering::DvoMode;
 use crate::CoreError;
 
 /// The name of the composite variable (kept last in the ordering).
@@ -45,7 +45,6 @@ pub struct PropagationResult {
 /// OBDD-based propagation engine bound to one digital netlist.
 pub struct PropagationEngine<'a> {
     netlist: &'a Netlist,
-    order: StaticOrder,
     dvo: DvoMode,
 }
 
@@ -55,16 +54,8 @@ impl<'a> PropagationEngine<'a> {
     pub fn new(netlist: &'a Netlist) -> Self {
         PropagationEngine {
             netlist,
-            order: StaticOrder::Declaration,
             dvo: DvoMode::Never,
         }
-    }
-
-    /// Sets the static heuristic that orders the external input variables
-    /// of the per-call OBDD managers (`D` stays last; see [`StaticOrder`]).
-    pub fn with_static_order(mut self, order: StaticOrder) -> Self {
-        self.order = order;
-        self
     }
 
     /// Sets the dynamic-variable-ordering mode applied once per search,
@@ -128,9 +119,9 @@ impl<'a> PropagationEngine<'a> {
             });
         }
         let mut manager = BddManager::new();
-        // External inputs first (in the static heuristic's order), D last.
+        // External inputs first (in declaration order), D last.
         let mut values: Vec<Option<Bdd>> = vec![None; self.netlist.signal_count()];
-        for &pi in &pi_order(self.netlist, self.order) {
+        for &pi in self.netlist.primary_inputs() {
             if pi == composite_line {
                 continue;
             }

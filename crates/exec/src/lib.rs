@@ -27,32 +27,33 @@
 //!   the next chunk instead of idling behind a static partition.
 //! * **Deterministic ordered reduction.**  Every chunk's result is slotted
 //!   by chunk index and merged in chunk order, so the output of
-//!   [`par_map_chunks`] / [`par_reduce`] / [`Session::wait`] is a pure
-//!   function of `(items, chunk_size, f)` — never of the scheduling order
-//!   or the worker count.  Callers that keep per-item work
-//!   schedule-independent (see [`par_map_chunks_with`]) therefore get
+//!   [`WorkerPool::run_chunks`] / [`Session::wait`] is a pure function of
+//!   `(items, chunk_size, f)` — never of the scheduling order or the worker
+//!   count.  Callers that keep per-item work schedule-independent (see the
+//!   determinism contract on [`WorkerPool::run_chunks`]) therefore get
 //!   **byte-identical** results for [`ExecPolicy::Serial`], `Threads(2)`,
 //!   `Threads(8)`, … — the property the workspace's determinism suite
 //!   asserts.
-//! * **One policy knob.**  [`ExecPolicy`] is plumbed through the public
-//!   options structs of the digital, analog and core crates; `Serial` runs
-//!   inline on the caller's thread with zero setup cost.  The crate never
-//!   reads the environment: `MSATPG_THREADS` is resolved to a concrete
-//!   policy once, by `msatpg_core::AtpgOptions::from_env`.
+//! * **One execution setting.**  The caller's [`WorkerPool`] carries the
+//!   run's [`ExecPolicy`] and [`PanicPolicy`]; the engines of the digital,
+//!   analog and core crates take the pool in their `run_on` entry points
+//!   and hold no policy of their own (the one exception is the fault
+//!   simulator's `with_policy`, which the flow benchmark still calls).
+//!   `Serial` runs inline on the caller's thread with zero setup cost.  The crate never reads the environment:
+//!   `MSATPG_THREADS` is resolved to a concrete policy once, by
+//!   `msatpg_core::AtpgOptions::from_env`.
 //!
 //! ## Example
 //!
 //! ```
-//! use msatpg_exec::{par_map_chunks, ExecPolicy};
+//! use msatpg_exec::{ExecPolicy, WorkerPool};
 //!
 //! let items: Vec<u64> = (0..1000).collect();
-//! let serial = par_map_chunks(ExecPolicy::Serial, &items, 64, |_, _, c| {
-//!     c.iter().sum::<u64>()
-//! });
-//! let threaded = par_map_chunks(ExecPolicy::Threads(4), &items, 64, |_, _, c| {
-//!     c.iter().sum::<u64>()
-//! });
-//! assert_eq!(serial, threaded); // deterministic ordered reduction
+//! let sums = |policy| {
+//!     WorkerPool::new(policy).run_chunks(&items, 64, || (), |(), _, _, c| c.iter().sum::<u64>())
+//! };
+//! // Deterministic ordered reduction.
+//! assert_eq!(sums(ExecPolicy::Serial), sums(ExecPolicy::Threads(4)));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -96,100 +97,20 @@ impl ExecPolicy {
     }
 }
 
-/// Maps fixed-size chunks of `items` through `f`, possibly in parallel, and
-/// returns the chunk results **in chunk order**.
-///
-/// `f` receives `(chunk_index, item_offset, chunk)` where `item_offset` is
-/// the index of `chunk[0]` within `items`.  Because results are slotted by
-/// chunk index, the output is independent of the execution policy as long as
-/// `f` itself is a pure function of its arguments.
-///
-/// # Panics
-///
-/// Panics if `chunk_size` is zero, or propagates a panic raised by `f` on
-/// any worker.
-pub fn par_map_chunks<T, R, F>(policy: ExecPolicy, items: &[T], chunk_size: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, usize, &[T]) -> R + Sync,
-{
-    par_map_chunks_with(
-        policy,
-        items,
-        chunk_size,
-        || (),
-        |(), ci, off, chunk| f(ci, off, chunk),
-    )
-}
-
-/// Like [`par_map_chunks`], but each worker carries a scratch state created
-/// by `init` and reused across every chunk that worker claims.
-///
-/// # Determinism contract
-///
-/// The scratch exists to avoid per-chunk allocations (simulation buffers, LU
-/// workspaces).  `f`'s **result** must not depend on what previous chunks
-/// left in the scratch — chunk-to-worker assignment is scheduling-dependent,
-/// so any result that reads stale scratch state would differ from run to
-/// run.  State that is invalidated wholesale between items (generation
-/// stamps, cleared buffers) satisfies the contract; state that accumulates
-/// numerical drift (e.g. an incrementally patched matrix) does not — create
-/// such state *inside* `f` instead.
-///
-/// # Panics
-///
-/// Panics if `chunk_size` is zero, or propagates a panic raised by `f` on
-/// any worker.
-pub fn par_map_chunks_with<T, S, R, I, F>(
-    policy: ExecPolicy,
-    items: &[T],
-    chunk_size: usize,
-    init: I,
-    f: F,
-) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize, usize, &[T]) -> R + Sync,
-{
-    WorkerPool::new(policy).run_chunks(items, chunk_size, init, f)
-}
-
-/// Maps chunks in parallel with `map`, then folds the chunk results **in
-/// chunk order** on the caller's thread.
-///
-/// The fold is sequential and ordered, so non-commutative accumulators
-/// (ordered vectors, first-hit searches, floating-point sums) behave exactly
-/// as in a serial loop regardless of the policy.
-///
-/// # Panics
-///
-/// Same conditions as [`par_map_chunks`].
-pub fn par_reduce<T, R, A, M, F>(
-    policy: ExecPolicy,
-    items: &[T],
-    chunk_size: usize,
-    map: M,
-    acc: A,
-    fold: F,
-) -> A
-where
-    T: Sync,
-    R: Send,
-    M: Fn(usize, usize, &[T]) -> R + Sync,
-    F: FnMut(A, R) -> A,
-{
-    par_map_chunks(policy, items, chunk_size, map)
-        .into_iter()
-        .fold(acc, fold)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU64, Ordering};
+
+    /// One stateless `run_chunks` call on a fresh pool.
+    fn map_chunks<T: Sync, R: Send>(
+        policy: ExecPolicy,
+        items: &[T],
+        chunk_size: usize,
+        f: impl Fn(usize, usize, &[T]) -> R + Sync,
+    ) -> Vec<R> {
+        WorkerPool::new(policy).run_chunks(items, chunk_size, || (), |(), ci, off, c| f(ci, off, c))
+    }
 
     #[test]
     fn policy_resolution() {
@@ -206,7 +127,7 @@ mod tests {
     fn chunk_indices_and_offsets_are_consistent() {
         let items: Vec<u32> = (0..103).collect();
         for policy in [ExecPolicy::Serial, ExecPolicy::Threads(3)] {
-            let spans = par_map_chunks(policy, &items, 10, |ci, off, chunk| {
+            let spans = map_chunks(policy, &items, 10, |ci, off, chunk| {
                 assert_eq!(off, ci * 10);
                 assert_eq!(chunk[0], off as u32);
                 (ci, off, chunk.len())
@@ -221,14 +142,18 @@ mod tests {
     #[test]
     fn results_are_ordered_and_policy_independent() {
         let items: Vec<u64> = (0..4096).map(|i| i * 7 + 3).collect();
-        let reference = par_map_chunks(ExecPolicy::Serial, &items, 33, |_, _, c| {
-            c.iter().map(|&x| x.wrapping_mul(x)).sum::<u64>()
-        });
-        for threads in [2, 5, 8] {
-            let parallel = par_map_chunks(ExecPolicy::Threads(threads), &items, 33, |_, _, c| {
+        let squares = |policy| {
+            map_chunks(policy, &items, 33, |_, _, c| {
                 c.iter().map(|&x| x.wrapping_mul(x)).sum::<u64>()
-            });
-            assert_eq!(parallel, reference, "{threads} threads");
+            })
+        };
+        let reference = squares(ExecPolicy::Serial);
+        for threads in [2, 5, 8] {
+            assert_eq!(
+                squares(ExecPolicy::Threads(threads)),
+                reference,
+                "{threads} threads"
+            );
         }
     }
 
@@ -236,7 +161,7 @@ mod tests {
     fn every_item_is_visited_exactly_once() {
         let items: Vec<usize> = (0..1000).collect();
         let visits = AtomicU64::new(0);
-        let chunks = par_map_chunks(ExecPolicy::Threads(7), &items, 13, |_, _, c| {
+        let chunks = map_chunks(ExecPolicy::Threads(7), &items, 13, |_, _, c| {
             visits.fetch_add(c.len() as u64, Ordering::Relaxed);
             c.to_vec()
         });
@@ -246,67 +171,38 @@ mod tests {
     }
 
     #[test]
-    fn par_reduce_matches_serial_fold() {
-        let items: Vec<i64> = (0..500).map(|i| i - 250).collect();
-        let expected: i64 = items.iter().map(|&x| x * 3).sum();
-        for policy in [ExecPolicy::Serial, ExecPolicy::Threads(4)] {
-            let got = par_reduce(
-                policy,
-                &items,
-                17,
-                |_, _, c| c.iter().map(|&x| x * 3).sum::<i64>(),
-                0i64,
-                |a, r| a + r,
-            );
-            assert_eq!(got, expected, "{policy:?}");
-        }
-    }
-
-    #[test]
     fn worker_state_is_initialized_per_worker_and_reused() {
         // Count init() calls: the serial path creates one state, a threaded
         // run at most `workers` states (fewer if some workers never claim a
         // chunk before the cursor drains).
         let items: Vec<u8> = vec![0; 64];
         let inits = AtomicU64::new(0);
-        let _ = par_map_chunks_with(
-            ExecPolicy::Serial,
-            &items,
-            4,
-            || {
-                inits.fetch_add(1, Ordering::Relaxed);
-                Vec::<u8>::new()
-            },
-            |scratch, _, _, c| {
-                scratch.clear();
-                scratch.extend_from_slice(c);
-                scratch.len()
-            },
-        );
-        assert_eq!(inits.load(Ordering::Relaxed), 1);
-        inits.store(0, Ordering::Relaxed);
-        let _ = par_map_chunks_with(
-            ExecPolicy::Threads(3),
-            &items,
-            4,
-            || {
-                inits.fetch_add(1, Ordering::Relaxed);
-                Vec::<u8>::new()
-            },
-            |scratch, _, _, c| {
-                scratch.clear();
-                scratch.extend_from_slice(c);
-                scratch.len()
-            },
-        );
-        let n = inits.load(Ordering::Relaxed);
+        let count_inits = |policy| {
+            inits.store(0, Ordering::Relaxed);
+            let _ = WorkerPool::new(policy).run_chunks(
+                &items,
+                4,
+                || {
+                    inits.fetch_add(1, Ordering::Relaxed);
+                    Vec::<u8>::new()
+                },
+                |scratch, _, _, c| {
+                    scratch.clear();
+                    scratch.extend_from_slice(c);
+                    scratch.len()
+                },
+            );
+            inits.load(Ordering::Relaxed)
+        };
+        assert_eq!(count_inits(ExecPolicy::Serial), 1);
+        let n = count_inits(ExecPolicy::Threads(3));
         assert!((1..=3).contains(&n), "workers initialized {n} states");
     }
 
     #[test]
     fn empty_input_yields_empty_output() {
         let items: [u8; 0] = [];
-        let out = par_map_chunks(ExecPolicy::Threads(4), &items, 8, |_, _, c| c.len());
+        let out = map_chunks(ExecPolicy::Threads(4), &items, 8, |_, _, c| c.len());
         assert!(out.is_empty());
     }
 
@@ -314,7 +210,7 @@ mod tests {
     fn worker_count_never_exceeds_chunk_count() {
         // 2 chunks, 16 requested workers: must not deadlock or misbehave.
         let items: Vec<u32> = (0..20).collect();
-        let out = par_map_chunks(ExecPolicy::Threads(16), &items, 10, |ci, _, c| {
+        let out = map_chunks(ExecPolicy::Threads(16), &items, 10, |ci, _, c| {
             (ci, c.iter().sum::<u32>())
         });
         assert_eq!(out.len(), 2);
@@ -326,14 +222,14 @@ mod tests {
     #[should_panic(expected = "chunk_size must be positive")]
     fn zero_chunk_size_panics() {
         let items = [1u8, 2, 3];
-        let _ = par_map_chunks(ExecPolicy::Serial, &items, 0, |_, _, c| c.len());
+        let _ = map_chunks(ExecPolicy::Serial, &items, 0, |_, _, c| c.len());
     }
 
     #[test]
     fn worker_panic_propagates() {
         let items: Vec<u32> = (0..100).collect();
         let result = std::panic::catch_unwind(|| {
-            par_map_chunks(ExecPolicy::Threads(4), &items, 8, |_, off, _| {
+            map_chunks(ExecPolicy::Threads(4), &items, 8, |_, off, _| {
                 if off == 40 {
                     panic!("boom at 40");
                 }

@@ -41,7 +41,7 @@
 //! `(inputs, chunk counts, job)` — never of the worker count or scheduling
 //! order.  Worker scratch (created once per worker by `init`) must not leak
 //! state between chunks in a way that changes results; see the determinism
-//! contract on [`crate::par_map_chunks_with`].
+//! contract on [`WorkerPool::run_chunks`].
 //!
 //! ## Panics
 //!
@@ -311,11 +311,25 @@ impl WorkerPool {
     }
 
     /// Maps fixed-size chunks of `items` through `f` on one single-round
-    /// session and returns the chunk results in chunk order.
+    /// session and returns the chunk results **in chunk order**.
     ///
-    /// This is the persistent-pool backend of [`crate::par_map_chunks_with`]
-    /// — same signature semantics, but charged to this pool's stats and
-    /// worker set.
+    /// `f` receives `(&mut scratch, chunk_index, item_offset, chunk)`, where
+    /// `item_offset` is the index of `chunk[0]` within `items` and the
+    /// scratch is created by `init` once per worker and reused across every
+    /// chunk that worker claims.  Because results are slotted by chunk
+    /// index, the output is independent of the pool's policy as long as `f`
+    /// honours the contract below.
+    ///
+    /// # Determinism contract
+    ///
+    /// The scratch exists to avoid per-chunk allocations (simulation buffers,
+    /// LU workspaces).  `f`'s **result** must not depend on what previous
+    /// chunks left in the scratch — chunk-to-worker assignment is
+    /// scheduling-dependent, so any result that reads stale scratch state would
+    /// differ from run to run.  State that is invalidated wholesale between
+    /// items (generation stamps, cleared buffers) satisfies the contract; state
+    /// that accumulates numerical drift (e.g. an incrementally patched matrix)
+    /// does not — create such state *inside* `f` instead.
     ///
     /// # Panics
     ///

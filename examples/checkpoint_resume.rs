@@ -7,7 +7,10 @@
 //! count, PPSFP width and variable ordering follow `MSATPG_THREADS`,
 //! `MSATPG_WORD_WIDTH` and `MSATPG_DVO` through `AtpgOptions::from_env`,
 //! and the first line printed is the resolved `threads:width:dvo` triple
-//! (the CI matrix checks it against the triple it set).
+//! (the CI matrix checks it against the triple it set).  All three
+//! campaigns run on one [`WorkerPool`] built from the resolved policy; the
+//! `spawns:` line reports how many worker threads it started, so the CI
+//! matrix can check that a threaded triple really ran the pipelined driver.
 
 use std::time::Duration;
 
@@ -18,18 +21,19 @@ use msatpg::core::store::{load_checkpoint, save_report};
 use msatpg::core::{AtpgOptions, CheckpointPolicy, ConverterBlock, DvoMode};
 use msatpg::digital::benchmarks;
 use msatpg::digital::fault::FaultList;
-use msatpg::exec::CancelToken;
+use msatpg::exec::{CancelToken, WorkerPool};
 use msatpg::MixedCircuit;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let knobs = AtpgOptions::from_env();
+    let pool = WorkerPool::new(knobs.exec);
     let dvo = match knobs.dvo {
         DvoMode::Never => "never",
         DvoMode::UntilConvergence => "until-convergence",
     };
     println!(
         "knobs:         {}:{}:{dvo}",
-        knobs.exec.workers(),
+        pool.policy().workers(),
         knobs.word_width.lanes()
     );
 
@@ -49,7 +53,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Ok(DigitalAtpg::new(&digital)
             .with_constraints(&lines, &codes)?
             .with_dvo(knobs.dvo)
-            .with_policy(knobs.exec)
             .with_word_width(knobs.word_width))
     };
 
@@ -57,7 +60,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     std::fs::create_dir_all(&dir)?;
 
     // The uninterrupted reference campaign.
-    let mut reference = engine()?.run(&faults)?;
+    let mut reference = engine()?.run_on(&pool, &faults)?;
     reference.cpu = Duration::ZERO;
     let reference_path = dir.join("uninterrupted.report");
     save_report(&reference_path, &digital, &reference)?;
@@ -75,7 +78,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let interrupted = engine()?
         .with_cancel_token(CancelToken::with_step_quota(25))
         .with_checkpoint(CheckpointPolicy::default(), &checkpoint_path)
-        .run(&faults)?;
+        .run_on(&pool, &faults)?;
     println!(
         "interrupted:   {} aborted of {} (step quota fired)",
         interrupted.aborted_count(),
@@ -91,7 +94,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "checkpoint:    {} journaled outcomes loaded",
         snapshot.outcomes.len()
     );
-    let mut resumed = engine()?.with_resume(snapshot).run(&faults)?;
+    let mut resumed = engine()?.with_resume(snapshot).run_on(&pool, &faults)?;
     resumed.cpu = Duration::ZERO;
     let resumed_path = dir.join("resumed.report");
     save_report(&resumed_path, &digital, &resumed)?;
@@ -101,6 +104,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         resumed.total_faults,
         resumed.vector_count()
     );
+    println!("spawns:        {}", pool.stats().spawns);
 
     let reference_bytes = std::fs::read(&reference_path)?;
     let resumed_bytes = std::fs::read(&resumed_path)?;

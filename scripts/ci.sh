@@ -59,6 +59,13 @@ for triple in 1:8:never 2:8:until-convergence 8:1:until-convergence; do
         echo "resolved knobs '${resolved}' differ from the matrix triple '${triple}'" >&2
         exit 1
     fi
+    # A threaded triple must reach the pipelined driver: a campaign left on
+    # a serial entry point would spawn no workers and pass unnoticed.
+    spawns=$(sed -n 's/^spawns: *//p' <<<"${out}")
+    if [ "${threads}" -ge 2 ] && [ "${spawns}" -eq 0 ]; then
+        echo "MSATPG_THREADS=${threads} but the example's pool spawned no workers" >&2
+        exit 1
+    fi
 done
 
 echo "==> perf-regression smoke (bench_kernels --check)"

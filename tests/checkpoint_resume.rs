@@ -22,7 +22,7 @@ use msatpg::digital::circuits;
 use msatpg::digital::fault::FaultList;
 use msatpg::digital::fault_sim::WordWidth;
 use msatpg::digital::netlist::SignalId;
-use msatpg::exec::{CancelToken, ChaosInjector, ExecPolicy};
+use msatpg::exec::{CancelToken, ChaosInjector, ExecPolicy, WorkerPool};
 use msatpg::{MixedCircuit, MixedSignalAtpg};
 
 /// A unique scratch path under the system temp directory.
@@ -132,9 +132,8 @@ fn interrupted_c432_campaign_resumes_byte_identically() {
     ] {
         let resumed = engine(tight)
             .with_resume(snapshot.clone())
-            .with_policy(policy)
             .with_word_width(width)
-            .run(&faults)
+            .run_on(&WorkerPool::new(policy), &faults)
             .unwrap();
         assert_reports_identical(
             &resumed,

@@ -20,7 +20,7 @@ use msatpg::digital::benchmarks;
 use msatpg::digital::fault::FaultList;
 use msatpg::digital::fault_sim::FaultSimulator;
 use msatpg::digital::netlist::{Netlist, SignalId};
-use msatpg::exec::{CancelToken, ExecPolicy};
+use msatpg::exec::{CancelToken, ExecPolicy, WorkerPool};
 use msatpg::MixedCircuit;
 
 /// A unique scratch path under the system temp directory.
@@ -136,8 +136,7 @@ fn dvo_modes_produce_equivalent_constrained_reports() {
         ExecPolicy::Threads(8),
     ] {
         let report = engine(DvoMode::UntilConvergence)
-            .with_policy(policy)
-            .run(&faults)
+            .run_on(&WorkerPool::new(policy), &faults)
             .unwrap();
         assert_reports_identical(&report, &sifted, &format!("until-convergence {policy:?}"));
     }
@@ -180,8 +179,7 @@ fn dvo_checkpoint_resume_crossover() {
     // Same mode, threaded: byte-identical to the uninterrupted campaign.
     let resumed = engine(DvoMode::UntilConvergence)
         .with_resume(snapshot.clone())
-        .with_policy(ExecPolicy::Threads(2))
-        .run(&faults)
+        .run_on(&WorkerPool::new(ExecPolicy::Threads(2)), &faults)
         .unwrap();
     assert_reports_identical(&resumed, &reference, "same-mode resume");
 

@@ -54,11 +54,11 @@ fn figure4_constrained_vectors_respect_fc() {
     let digital = atpg.circuit().digital();
     let l0 = digital.find_signal("l0").unwrap();
     let l2 = digital.find_signal("l2").unwrap();
-    let pi_order: Vec<_> = digital.primary_inputs().to_vec();
+    let pis: Vec<_> = digital.primary_inputs().to_vec();
     for vector in &report.vectors {
         let pattern = vector.concretize(false);
-        let l0_pos = pi_order.iter().position(|&s| s == l0).unwrap();
-        let l2_pos = pi_order.iter().position(|&s| s == l2).unwrap();
+        let l0_pos = pis.iter().position(|&s| s == l0).unwrap();
+        let l2_pos = pis.iter().position(|&s| s == l2).unwrap();
         assert!(
             codes.allows(&[pattern[l0_pos], pattern[l2_pos]]),
             "vector {} violates the conversion-block constraint",

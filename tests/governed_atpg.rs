@@ -13,7 +13,7 @@ use msatpg::digital::benchmarks;
 use msatpg::digital::fault::{FaultList, StuckAtFault};
 use msatpg::digital::fault_sim::FaultSimulator;
 use msatpg::digital::netlist::SignalId;
-use msatpg::exec::ExecPolicy;
+use msatpg::exec::{ExecPolicy, WorkerPool};
 use msatpg::MixedCircuit;
 use std::collections::BTreeSet;
 
@@ -41,24 +41,23 @@ fn c432_constrained_under_a_tiny_node_budget_degrades_gracefully() {
     let lines: Vec<SignalId> = mixed.constrained_inputs();
     let codes: AllowedCodes = thermometer_codes(15);
 
-    let engine = |budget: BddBudget, policy: ExecPolicy| -> DigitalAtpg<'_> {
+    let engine = |budget: BddBudget| -> DigitalAtpg<'_> {
         DigitalAtpg::new(&digital)
             .with_constraints(&lines, &codes)
             .unwrap()
             .with_budget(budget)
-            .with_policy(policy)
     };
 
     // Ungoverned reference, and the protected baseline (signal functions
     // plus the constraint BDD) every governed target restarts from.
-    let mut reference_engine = engine(BddBudget::UNLIMITED, ExecPolicy::Serial);
+    let mut reference_engine = engine(BddBudget::UNLIMITED);
     let baseline = reference_engine.collect_garbage();
     let reference = reference_engine.run(&faults).unwrap();
 
     // A budget barely above the baseline: hard faults exhaust it while
     // shallow cones still fit.  The run must complete without panicking.
     let tiny = BddBudget::UNLIMITED.with_max_live_nodes(baseline + baseline / 16);
-    let governed = engine(tiny, ExecPolicy::Serial).run(&faults).unwrap();
+    let governed = engine(tiny).run(&faults).unwrap();
 
     // Every fault is accounted for, and the budget really fired.
     assert_eq!(
@@ -122,8 +121,8 @@ fn c432_constrained_under_a_tiny_node_budget_degrades_gracefully() {
 
     // Byte-identical across thread counts.
     for threads in [1usize, 2, 8] {
-        let parallel = engine(tiny, ExecPolicy::Threads(threads))
-            .run(&faults)
+        let parallel = engine(tiny)
+            .run_on(&WorkerPool::new(ExecPolicy::Threads(threads)), &faults)
             .unwrap();
         assert_reports_identical(&parallel, &governed, &format!("threads={threads}"));
     }

@@ -61,13 +61,13 @@ fn c432_constraints_increase_untestable_faults_and_effort() {
     // Constrained vectors respect the thermometer-code constraint.
     let codes = thermometer_codes(15);
     let constrained_lines = mixed.constrained_inputs();
-    let pi_order: Vec<_> = digital.primary_inputs().to_vec();
+    let pis: Vec<_> = digital.primary_inputs().to_vec();
     for vector in &report_constrained.vectors {
         let pattern = vector.concretize(false);
         let constrained_bits: Vec<bool> = constrained_lines
             .iter()
             .map(|line| {
-                let pos = pi_order.iter().position(|s| s == line).unwrap();
+                let pos = pis.iter().position(|s| s == line).unwrap();
                 pattern[pos]
             })
             .collect();

@@ -18,7 +18,7 @@ use msatpg::digital::fault_sim::FaultSimulator;
 use msatpg::digital::logic::Logic;
 use msatpg::digital::prng::SplitMix64;
 use msatpg::digital::sim::{CompositeSimulator, Simulator};
-use msatpg::exec::ExecPolicy;
+use msatpg::exec::{ExecPolicy, PanicPolicy, WorkerPool};
 
 const CASES: usize = 64;
 
@@ -725,6 +725,12 @@ fn determinism_policies() -> [ExecPolicy; 4] {
     ]
 }
 
+/// A pool under `PanicPolicy::Isolate`: every campaign it runs reports an
+/// injected generation panic as its fault's `Aborted(Panic)`.
+fn isolating(policy: ExecPolicy) -> WorkerPool {
+    WorkerPool::new(policy).with_panic_policy(PanicPolicy::Isolate)
+}
+
 /// Parallel PPSFP fault simulation detects exactly the same faults in
 /// exactly the same order as the serial engine, for thread counts 1, 2,
 /// 8 and `MSATPG_THREADS`, with and without fault dropping, at the
@@ -826,7 +832,6 @@ fn wide_ppsfp_is_byte_identical_to_one_lane_on_random_netlists() {
 fn ppsfp_campaign_spawns_one_worker_set() {
     use msatpg::digital::benchmarks;
     use msatpg::digital::fault_sim::{FaultCones, WordWidth};
-    use msatpg::exec::WorkerPool;
     let mut rng = SplitMix64::new(0x5EED);
     let n = benchmarks::by_name("c880").unwrap();
     let faults = FaultList::collapsed(&n);
@@ -878,8 +883,7 @@ fn parallel_deviation_analysis_is_byte_identical_to_serial() {
         for policy in determinism_policies() {
             let parallel = WorstCaseAnalysis::new(filter.circuit(), specs)
                 .with_worst_case(worst_case)
-                .with_policy(policy)
-                .run()
+                .run_on(&WorkerPool::new(policy))
                 .unwrap();
             // DeviationRow compares f64 thresholds with ==: bit-identity.
             assert_eq!(
@@ -982,7 +986,7 @@ fn mna_divider_matches_theory() {
 #[test]
 fn chaos_governed_atpg_reports_are_byte_identical_across_policies() {
     use msatpg::core::digital_atpg::DegradePolicy;
-    use msatpg::exec::{ChaosInjector, PanicPolicy};
+    use msatpg::exec::ChaosInjector;
 
     let circuit = circuits::adder4();
     let faults = FaultList::collapsed(&circuit);
@@ -996,13 +1000,14 @@ fn chaos_governed_atpg_reports_are_byte_identical_across_policies() {
             DigitalAtpg::new(&circuit)
                 .with_word_width(AtpgOptions::from_env().word_width)
                 .with_chaos(chaos)
-                .with_panic_policy(PanicPolicy::Isolate)
                 .with_degradation(DegradePolicy {
                     seed,
                     patterns: 128,
                 })
         };
-        let reference = build().run(&faults).unwrap();
+        let reference = build()
+            .run_on(&isolating(ExecPolicy::Serial), &faults)
+            .unwrap();
         assert_eq!(
             reference.detected + reference.untestable.len() + reference.aborted.len(),
             faults.len(),
@@ -1017,7 +1022,7 @@ fn chaos_governed_atpg_reports_are_byte_identical_across_policies() {
             );
         }
         for policy in determinism_policies() {
-            let report = build().with_policy(policy).run(&faults).unwrap();
+            let report = build().run_on(&isolating(policy), &faults).unwrap();
             assert_reports_identical(
                 &report,
                 &reference,
@@ -1036,7 +1041,7 @@ fn chaos_governed_atpg_reports_are_byte_identical_across_policies() {
 fn governed_atpg_reports_are_byte_identical_across_word_widths() {
     use msatpg::core::digital_atpg::DegradePolicy;
     use msatpg::digital::fault_sim::WordWidth;
-    use msatpg::exec::{ChaosInjector, PanicPolicy};
+    use msatpg::exec::ChaosInjector;
 
     let circuit = circuits::adder4();
     let faults = FaultList::collapsed(&circuit);
@@ -1049,7 +1054,6 @@ fn governed_atpg_reports_are_byte_identical_across_word_widths() {
                         .with_budget_rate(3)
                         .with_cancel_rate(11),
                 )
-                .with_panic_policy(PanicPolicy::Isolate)
                 .with_degradation(DegradePolicy {
                     seed,
                     // Three 64-bit words, under one 512-bit block: the wide
@@ -1059,14 +1063,16 @@ fn governed_atpg_reports_are_byte_identical_across_word_widths() {
                 })
                 .with_word_width(width)
         };
-        let reference = build(WordWidth::W1).run(&faults).unwrap();
+        let reference = build(WordWidth::W1)
+            .run_on(&isolating(ExecPolicy::Serial), &faults)
+            .unwrap();
         assert!(
             !reference.degraded.is_empty(),
             "seed={seed:#x}: the chaos rates must actually degrade faults"
         );
         for width in [WordWidth::W1, WordWidth::W8] {
             for policy in determinism_policies() {
-                let report = build(width).with_policy(policy).run(&faults).unwrap();
+                let report = build(width).run_on(&isolating(policy), &faults).unwrap();
                 assert_reports_identical(
                     &report,
                     &reference,
@@ -1175,7 +1181,7 @@ fn netlist_store_roundtrip_preserves_structure_and_behavior() {
 fn report_store_roundtrip_is_lossless() {
     use msatpg::core::digital_atpg::DegradePolicy;
     use msatpg::core::store::{load_report, save_report};
-    use msatpg::exec::{ChaosInjector, PanicPolicy};
+    use msatpg::exec::ChaosInjector;
     let circuit = circuits::adder4();
     let faults = FaultList::collapsed(&circuit);
     for seed in [0x11u64, 0xC0FFEE, 0xFEED_F00D] {
@@ -1186,9 +1192,8 @@ fn report_store_roundtrip_is_lossless() {
                     .with_budget_rate(5)
                     .with_cancel_rate(11),
             )
-            .with_panic_policy(PanicPolicy::Isolate)
             .with_degradation(DegradePolicy { seed, patterns: 64 })
-            .run(&faults)
+            .run_on(&isolating(ExecPolicy::Serial), &faults)
             .unwrap();
         let path = scratch_file("report", seed as usize & 0xff);
         save_report(&path, &circuit, &report).unwrap();
@@ -1253,7 +1258,7 @@ fn bdd_store_roundtrip_survives_gc_interleaving() {
 #[test]
 fn pools_and_engines_stay_reusable_after_every_injected_failure() {
     use msatpg::digital::fault::StuckAtFault;
-    use msatpg::exec::{CancelToken, ChaosInjector, PanicPolicy, WorkerPool};
+    use msatpg::exec::{CancelToken, ChaosInjector};
 
     let circuit = circuits::adder4();
     let faults = FaultList::collapsed(&circuit);
@@ -1264,12 +1269,11 @@ fn pools_and_engines_stay_reusable_after_every_injected_failure() {
             .all(|(_, r)| *r == msatpg::core::AbortReason::Deadline)
     };
     for policy in determinism_policies() {
-        let pool = WorkerPool::new(policy).with_panic_policy(PanicPolicy::Isolate);
+        let pool = isolating(policy);
         for seed in 0..3u64 {
             // Injected worker panics, isolated to their fault targets.
             let chaotic = DigitalAtpg::new(&circuit)
                 .with_chaos(ChaosInjector::new(seed).with_panic_rate(3))
-                .with_panic_policy(PanicPolicy::Isolate)
                 .run_on(&pool, &faults)
                 .unwrap();
             assert_eq!(
