@@ -170,8 +170,7 @@ fn minimum_detectable(
     max_deviation: f64,
 ) -> Result<Option<f64>, ConversionError> {
     let shift = |x: f64| -> Result<f64, ConversionError> {
-        let faulty = ladder.with_deviation(resistor, x)?;
-        Ok((faulty.tap_voltage(comparator)? - nominal).abs())
+        Ok((ladder.deviated_tap_voltage(resistor, x, comparator)? - nominal).abs())
     };
     let mut result: Option<f64> = None;
     for sign in [1.0, -1.0] {

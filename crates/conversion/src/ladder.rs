@@ -112,11 +112,83 @@ impl ResistorLadder {
         resistors[index - 1] *= 1.0 + relative;
         ResistorLadder::new(resistors, self.v_ref)
     }
+
+    /// `self.with_deviation(resistor, relative)?.tap_voltage(tap)?`, bit for
+    /// bit (the same sums in the same order), without building the deviated
+    /// ladder: the inner loop of the ladder-coverage search.
+    ///
+    /// # Errors
+    ///
+    /// The errors of [`ResistorLadder::with_deviation`] and
+    /// [`ResistorLadder::tap_voltage`].
+    pub(crate) fn deviated_tap_voltage(
+        &self,
+        resistor: usize,
+        relative: f64,
+        tap: usize,
+    ) -> Result<f64, ConversionError> {
+        if resistor == 0 || resistor > self.resistors.len() {
+            return Err(ConversionError::ResistorOutOfRange {
+                index: resistor,
+                resistors: self.resistors.len(),
+            });
+        }
+        let deviated = self.resistors[resistor - 1] * (1.0 + relative);
+        if deviated <= 0.0 || !deviated.is_finite() {
+            return Err(ConversionError::InvalidLadder {
+                reason: "resistor values must be positive and finite".to_owned(),
+            });
+        }
+        if tap == 0 || tap > self.tap_count() {
+            return Err(ConversionError::TapOutOfRange {
+                index: tap,
+                taps: self.tap_count(),
+            });
+        }
+        let value = |i: usize| {
+            if i == resistor - 1 {
+                deviated
+            } else {
+                self.resistors[i]
+            }
+        };
+        let total: f64 = (0..self.resistors.len()).map(value).sum();
+        let mut acc = 0.0;
+        for i in 0..tap {
+            acc += value(i);
+        }
+        Ok(self.v_ref * acc / total)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn deviated_tap_voltage_is_bit_identical_to_the_deviated_ladder() {
+        let ladder =
+            ResistorLadder::new((1..=16).map(|i| 900.0 + 17.0 * f64::from(i)).collect(), 4.0)
+                .unwrap();
+        for resistor in 1..=16 {
+            for relative in [-0.999, -0.5, -0.013, 0.0071, 0.25, 3.0, 50.0] {
+                let deviated = ladder.with_deviation(resistor, relative).unwrap();
+                for tap in 1..=15 {
+                    assert_eq!(
+                        ladder
+                            .deviated_tap_voltage(resistor, relative, tap)
+                            .unwrap()
+                            .to_bits(),
+                        deviated.tap_voltage(tap).unwrap().to_bits(),
+                        "resistor {resistor}, deviation {relative}, tap {tap}"
+                    );
+                }
+            }
+        }
+        assert!(ladder.deviated_tap_voltage(0, 0.1, 1).is_err());
+        assert!(ladder.deviated_tap_voltage(1, -1.0, 1).is_err());
+        assert!(ladder.deviated_tap_voltage(1, 0.1, 16).is_err());
+    }
 
     #[test]
     fn uniform_ladder_taps_are_evenly_spaced() {

@@ -361,25 +361,26 @@ impl<'a> AnalogAtpg<'a> {
         idx: usize,
     ) -> Result<(bool, bool), CoreError> {
         let line = connections[idx].1;
-        // Fault-free code: thermometer with `idx + 1` ones (the input
-        // amplitude sits just above this comparator's reference).
-        let mut fixed: HashMap<SignalId, bool> = HashMap::new();
-        for (j, &(_, other_line)) in connections.iter().enumerate() {
-            if j == idx {
-                continue;
-            }
-            // Lines below the flipped comparator are 1, above are 0, for
-            // both composite polarities.
-            fixed.insert(other_line, j < idx);
-        }
-        let d_ok = engine
-            .find_propagating_assignment(&fixed, line, Logic::D)?
-            .is_some();
-        let dbar_ok = engine
-            .find_propagating_assignment(&fixed, line, Logic::Dbar)?
-            .is_some();
-        Ok((d_ok, dbar_ok))
+        let fixed = study_fixed_values(connections, idx);
+        // One build answers both polarities (`∂f/∂D` is invariant under
+        // `D → ¬D`), so the two columns agree by construction.
+        let propagates = engine.find_propagating_assignments(&fixed, line)?.is_some();
+        Ok((propagates, propagates))
     }
+}
+
+/// The fixed lines of the Table-5 study row for comparator `idx`: the
+/// fault-free code is the thermometer code with `idx + 1` ones (the input
+/// amplitude sits just above this comparator's reference), so lines below
+/// the flipped comparator are 1 and lines above it are 0, for both
+/// composite polarities.
+fn study_fixed_values(connections: &[(usize, SignalId)], idx: usize) -> HashMap<SignalId, bool> {
+    connections
+        .iter()
+        .enumerate()
+        .filter(|&(j, _)| j != idx)
+        .map(|(j, &(_, other_line))| (other_line, j < idx))
+        .collect()
 }
 
 #[cfg(test)]
@@ -466,5 +467,57 @@ mod tests {
         // In the Figure-3 circuit every constrained line reaches an output
         // for at least one polarity.
         assert!(study.iter().any(|&(d, dbar)| d || dbar));
+    }
+
+    /// For every connection of `mixed`, the study's single build answers
+    /// exactly what two separate `D` and `D̄` searches do, and both
+    /// polarities share the cube.  Returns how many connections propagate.
+    fn assert_one_build_answers_both_polarities(mixed: &MixedCircuit) -> usize {
+        let atpg = AnalogAtpg::new(mixed);
+        let engine = atpg.propagation_engine();
+        let connections = mixed.connections();
+        let study = atpg.comparator_propagation_study().unwrap();
+        assert_eq!(study.len(), connections.len());
+        let mut propagating = 0;
+        for (idx, &(_, line)) in connections.iter().enumerate() {
+            let fixed = study_fixed_values(&connections, idx);
+            let d = engine
+                .find_propagating_assignment(&fixed, line, Logic::D)
+                .unwrap();
+            let dbar = engine
+                .find_propagating_assignment(&fixed, line, Logic::Dbar)
+                .unwrap();
+            assert_eq!(study[idx], (d.is_some(), dbar.is_some()), "line {idx}");
+            assert_eq!(d.is_some(), dbar.is_some(), "line {idx}");
+            match engine.find_propagating_assignments(&fixed, line).unwrap() {
+                Some((one_d, one_dbar)) => {
+                    propagating += 1;
+                    assert_eq!(one_d.external_assignment, one_dbar.external_assignment);
+                    assert_eq!(one_d.observed_output, one_dbar.observed_output);
+                    assert_eq!(Some(one_d), d, "line {idx}");
+                    assert_eq!(Some(one_dbar), dbar, "line {idx}");
+                }
+                None => assert!(d.is_none(), "line {idx}"),
+            }
+        }
+        propagating
+    }
+
+    #[test]
+    fn one_build_answers_both_polarities() {
+        assert!(assert_one_build_answers_both_polarities(&figure4()) > 0);
+        let adc = FlashAdc::uniform(15, 4.0).unwrap();
+        let mut propagating = 0;
+        for seed in [0, 7, 1995] {
+            let mut mixed = MixedCircuit::new(
+                "example3-c432",
+                filters::fifth_order_chebyshev(),
+                ConverterBlock::Flash(adc.clone()),
+                msatpg_digital::benchmarks::c432(),
+            );
+            mixed.connect_randomly(seed).unwrap();
+            propagating += assert_one_build_answers_both_polarities(&mixed);
+        }
+        assert!(propagating > 0);
     }
 }

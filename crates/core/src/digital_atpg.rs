@@ -2,29 +2,40 @@
 //! (the paper's BDD_FTEST extended with the constraint function `Fc`).
 //!
 //! For a fault *l* s-a-*v*, the set of test vectors is obtained purely by
-//! Boolean manipulation — no search, no backtracking:
+//! Boolean manipulation — no search, no backtracking.  The paper writes it
+//! as
 //!
 //! ```text
 //! S = activation · propagation · Fc
-//!   = (f_l ⊕ v) · (∂PO/∂l) · Fc
+//!   = (f_l ⊕ v) · (∂PO/∂D) · Fc
 //! ```
 //!
-//! where `f_l` is the function of line *l* in terms of the primary inputs,
-//! `∂PO/∂l` is the Boolean difference of a primary output with respect to
-//! the line (computed by re-deriving the output with the line replaced by a
-//! fresh variable `D`, which is last in the BDD ordering, exactly as in the
-//! paper), and `Fc` encodes the assignments the conversion block can
-//! produce.  Any path to `1` in `S` is a test vector; `S = ∅` for every
-//! output means the fault is untestable under the constraints.
+//! where `f_l` is the function of line *l* in terms of the primary inputs
+//! and `∂PO/∂D` is the Boolean difference of a primary output re-derived
+//! with the line replaced by a fresh variable `D`.  Writing `F(x, d)` for
+//! that output, the good output is `F(x, f_l)`, so under activation
+//! (`f_l = ¬v`) the Boolean difference `F(x, 0) ⊕ F(x, 1)` equals
+//! `good ⊕ F(x, v)`, and outside activation that XOR is 0:
+//!
+//! ```text
+//! (f_l ⊕ v) · ∂F/∂D = good ⊕ F|l=v
+//! ```
+//!
+//! The generator therefore rebuilds only the fanout cone of *l* with the
+//! line stuck at its constant and takes `S = (good ⊕ faulty) · Fc` per
+//! output — no `D` variable, no Boolean-difference walk.  Canonical BDDs
+//! make both forms the same node, hence the same cube; the paper's form is
+//! kept as the test oracle.  Any path to `1` in `S` is a test vector;
+//! `S = ∅` for every output means the fault is untestable under the
+//! constraints.
 
-use std::collections::HashMap;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
-use msatpg_bdd::{Bdd, BddBudget, BddError, BddManager, Cube, VarId};
+use msatpg_bdd::{Bdd, BddBudget, BddError, BddManager, Cube};
 use msatpg_conversion::constraints::AllowedCodes;
 use msatpg_digital::fault::{FaultList, StuckAtFault};
 use msatpg_digital::fault_sim::{block_mask, FaultCones, FaultSimulator, PpsfpScratch, WordWidth};
@@ -39,9 +50,6 @@ use crate::ordering::DvoMode;
 use crate::store::{self, Checkpoint, CheckpointPolicy};
 use crate::CoreError;
 
-/// The name of the auxiliary composite variable (kept last in the ordering).
-const D_VAR_NAME: &str = "__D";
-
 /// Live-node watermark above which the per-fault safe point sweeps the BDD
 /// arena.  Every fault target re-derives its faulty cone and test set from
 /// scratch, so the garbage fraction grows linearly with the fault count;
@@ -49,6 +57,94 @@ const D_VAR_NAME: &str = "__D";
 /// construction and survives every collection, which makes the sweep
 /// invisible in the generated vectors.
 const GC_WATERMARK: usize = 1 << 16;
+
+/// The faulty-cone scratch of [`DigitalAtpg::try_generate`]: the fanout
+/// lists are built once, and each fault rebuilds only the gates its line
+/// reaches.  A signal's faulty value is read from `values` when its stamp
+/// is the current epoch and from the good functions otherwise, so nothing
+/// is cleared between faults.
+struct FaultyCone {
+    /// Indices of the gates reading each signal (once per input pin; the
+    /// stamps make a repeated gate one cone gate).
+    fanout: Vec<Vec<u32>>,
+    /// Epoch at which each signal last joined a cone; its entry in
+    /// `values` is the faulty function while that epoch is current.
+    stamp: Vec<u32>,
+    epoch: u32,
+    values: Vec<Bdd>,
+    /// The current fault's cone gates, in topological order.
+    gates: Vec<u32>,
+    stack: Vec<SignalId>,
+}
+
+impl FaultyCone {
+    fn new(netlist: &Netlist, zero: Bdd) -> Self {
+        let mut fanout = vec![Vec::new(); netlist.signal_count()];
+        for (gi, gate) in netlist.gates().iter().enumerate() {
+            for input in &gate.inputs {
+                fanout[input.index()].push(gi as u32);
+            }
+        }
+        FaultyCone {
+            fanout,
+            stamp: vec![0; netlist.signal_count()],
+            epoch: 0,
+            values: vec![zero; netlist.signal_count()],
+            gates: Vec::new(),
+            stack: Vec::new(),
+        }
+    }
+
+    /// The faulty function of `signal` (the good one outside the cone).
+    fn value(&self, good: &[Bdd], signal: SignalId) -> Bdd {
+        if self.stamp[signal.index()] == self.epoch {
+            self.values[signal.index()]
+        } else {
+            good[signal.index()]
+        }
+    }
+
+    /// Rebuilds the fanout cone of `line` with the line set to `stuck`.
+    /// Gates are stored in topological order, so sorting the cone's gate
+    /// indices yields a valid evaluation order.
+    fn rebuild(
+        &mut self,
+        netlist: &Netlist,
+        manager: &mut BddManager,
+        good: &[Bdd],
+        line: SignalId,
+        stuck: Bdd,
+    ) -> Result<(), BddError> {
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.stamp.fill(0);
+            self.epoch = 1;
+        }
+        self.stamp[line.index()] = self.epoch;
+        self.values[line.index()] = stuck;
+        self.gates.clear();
+        self.stack.push(line);
+        while let Some(signal) = self.stack.pop() {
+            for &gi in &self.fanout[signal.index()] {
+                let output = netlist.gates()[gi as usize].output;
+                if self.stamp[output.index()] != self.epoch {
+                    self.stamp[output.index()] = self.epoch;
+                    self.gates.push(gi);
+                    self.stack.push(output);
+                }
+            }
+        }
+        self.gates.sort_unstable();
+        let mut inputs = Vec::new();
+        for &gi in &self.gates {
+            let gate = &netlist.gates()[gi as usize];
+            inputs.clear();
+            inputs.extend(gate.inputs.iter().map(|&i| self.value(good, i)));
+            self.values[gate.output.index()] = try_apply_gate(manager, gate.kind, &inputs)?;
+        }
+        Ok(())
+    }
+}
 
 /// A generated test vector: an assignment to the primary inputs, with
 /// don't-cares left open.
@@ -415,7 +511,7 @@ pub struct DigitalAtpg<'a> {
     manager: BddManager,
     signal_bdds: Vec<Bdd>,
     fc: Bdd,
-    d_var: VarId,
+    cone: FaultyCone,
     fault_dropping: bool,
     constrained: bool,
     width: WordWidth,
@@ -527,9 +623,6 @@ impl<'a> DigitalAtpg<'a> {
     pub fn new(netlist: &'a Netlist) -> Self {
         let mut manager = BddManager::new();
         let pi_literals = declare_input_variables(&mut manager, netlist);
-        // The composite variable is declared last, as prescribed by the
-        // paper's ordering.
-        let d_var = manager.var_id(D_VAR_NAME);
         let mut signal_bdds = vec![manager.zero(); netlist.signal_count()];
         for (i, &pi) in netlist.primary_inputs().iter().enumerate() {
             signal_bdds[pi.index()] = pi_literals[i];
@@ -545,12 +638,13 @@ impl<'a> DigitalAtpg<'a> {
             manager.protect(f);
         }
         let fc = manager.one();
+        let cone = FaultyCone::new(netlist, manager.zero());
         DigitalAtpg {
             netlist,
             manager,
             signal_bdds,
             fc,
-            d_var,
+            cone,
             fault_dropping: true,
             constrained: false,
             width: WordWidth::W1,
@@ -802,29 +896,21 @@ impl<'a> DigitalAtpg<'a> {
             self.manager.gc_if_above(GC_WATERMARK);
         }
         // 1. Activation: the line must carry the value opposite to the stuck
-        //    value in the fault-free circuit.
-        let line_fn = self.signal_bdds[fault.signal.index()];
-        let activation = if fault.stuck_at {
-            self.manager.not(line_fn)
-        } else {
-            line_fn
-        };
-        if activation.is_zero() {
+        //    value in the fault-free circuit; a line constant at its stuck
+        //    value is never activated.
+        let stuck = self.manager.constant(fault.stuck_at);
+        if self.signal_bdds[fault.signal.index()] == stuck {
             return Ok(TestOutcome::Untestable);
         }
-        // 2. Re-derive the outputs with the fault site replaced by the free
-        //    variable D (only the fanout cone needs recomputation).
-        let faulty = self.functions_with_free_line(fault.signal)?;
-        // 3. For each primary output, the test set is
-        //    activation · (∂PO/∂D) · Fc.
+        // 2. Rebuild the fanout cone of the fault site with the line stuck
+        //    at its constant.
+        self.rebuild_faulty_cone(fault.signal, stuck)?;
+        // 3. For each primary output, the test set is (good ⊕ faulty) · Fc,
+        //    which equals the paper's activation · (∂PO/∂D) · Fc.
         for (po_index, &po) in self.netlist.primary_outputs().iter().enumerate() {
-            let f = faulty[po.index()];
-            let observability = self.manager.try_boolean_difference(f, self.d_var)?;
-            if observability.is_zero() {
+            let Some(test_set) = self.output_test_set(po)? else {
                 continue;
-            }
-            let act_obs = self.manager.try_and(activation, observability)?;
-            let test_set = self.manager.try_and(act_obs, self.fc)?;
+            };
             let Some(cube) = self.manager.sat_one(test_set) else {
                 continue;
             };
@@ -833,6 +919,31 @@ impl<'a> DigitalAtpg<'a> {
             ));
         }
         Ok(TestOutcome::Untestable)
+    }
+
+    /// Step 2 of [`Self::try_generate`]: the faulty functions of `line`'s
+    /// fanout cone, with the line replaced by the constant `stuck`.
+    fn rebuild_faulty_cone(&mut self, line: SignalId, stuck: Bdd) -> Result<(), BddError> {
+        self.cone.rebuild(
+            self.netlist,
+            &mut self.manager,
+            &self.signal_bdds,
+            line,
+            stuck,
+        )
+    }
+
+    /// Step 3 of [`Self::try_generate`] for one output: `(good ⊕ faulty) ·
+    /// Fc` over the cone rebuilt last, or `None` when the output's faulty
+    /// function is the good one (its test set is empty).
+    fn output_test_set(&mut self, po: SignalId) -> Result<Option<Bdd>, BddError> {
+        let good = self.signal_bdds[po.index()];
+        let faulty = self.cone.value(&self.signal_bdds, po);
+        if faulty == good {
+            return Ok(None);
+        }
+        let difference = self.manager.try_xor(good, faulty)?;
+        self.manager.try_and(difference, self.fc).map(Some)
     }
 
     /// Runs the generator over a whole fault list, with fault dropping, on
@@ -1289,27 +1400,6 @@ impl<'a> DigitalAtpg<'a> {
                 Ok(())
             },
         )
-    }
-
-    /// Signal functions with `line` replaced by the free variable `D`
-    /// (faulty-cone recomputation).
-    fn functions_with_free_line(&mut self, line: SignalId) -> Result<Vec<Bdd>, BddError> {
-        let mut values = self.signal_bdds.clone();
-        values[line.index()] = self.manager.literal(self.d_var, true);
-        let cone: HashMap<usize, ()> = self
-            .netlist
-            .fanout_cone(line)
-            .into_iter()
-            .map(|s| (s.index(), ()))
-            .collect();
-        for gate in self.netlist.gates() {
-            if gate.output == line || !cone.contains_key(&gate.output.index()) {
-                continue;
-            }
-            let inputs: Vec<Bdd> = gate.inputs.iter().map(|i| values[i.index()]).collect();
-            values[gate.output.index()] = try_apply_gate(&mut self.manager, gate.kind, &inputs)?;
-        }
-        Ok(values)
     }
 
     fn vector_from_cube(&self, cube: &Cube, fault: StuckAtFault, po_index: usize) -> TestVector {
@@ -1903,5 +1993,136 @@ mod tests {
         let clean = DigitalAtpg::new(&circuit).run_on(&pool, &faults).unwrap();
         assert_reports_identical(&clean, &clean_reference);
         assert!(clean.degraded.is_empty() && clean.aborted.is_empty());
+    }
+
+    /// The paper's derivation, kept as the oracle of [`DigitalAtpg::try_generate`]:
+    /// per primary output, `activation · ∂PO/∂D · Fc`, with `D` declared
+    /// last in the engine's own manager and the fault site's fanout cone
+    /// rebuilt with the line replaced by `D`.
+    fn paper_test_sets(atpg: &mut DigitalAtpg<'_>, fault: StuckAtFault) -> Vec<Bdd> {
+        let netlist = atpg.netlist;
+        let manager = &mut atpg.manager;
+        let d_var = manager.var_id("__D");
+        let mut values = atpg.signal_bdds.clone();
+        values[fault.signal.index()] = manager.literal(d_var, true);
+        for signal in netlist.fanout_cone(fault.signal) {
+            let gate = netlist
+                .driver(signal)
+                .expect("cone signals are gate outputs");
+            let inputs: Vec<Bdd> = gate.inputs.iter().map(|i| values[i.index()]).collect();
+            values[signal.index()] = apply_gate(manager, gate.kind, &inputs);
+        }
+        let line = atpg.signal_bdds[fault.signal.index()];
+        let activation = if fault.stuck_at {
+            manager.not(line)
+        } else {
+            line
+        };
+        netlist
+            .primary_outputs()
+            .iter()
+            .map(|&po| {
+                let observability = manager.boolean_difference(values[po.index()], d_var);
+                let act_obs = manager.and(activation, observability);
+                manager.and(act_obs, atpg.fc)
+            })
+            .collect()
+    }
+
+    /// Checks `(good ⊕ faulty) · Fc` against the paper's oracle for every
+    /// collapsed fault and every output, unconstrained and behind a
+    /// thermometer `Fc` on up to 15 primary inputs (the Example-3 flash
+    /// converter), requiring the identical handle.  Returns how many
+    /// (fault, output) pairs were skipped because the faulty function
+    /// equals the good one.
+    fn assert_matches_paper_oracle(netlist: &Netlist) -> usize {
+        let pis = netlist.primary_inputs();
+        let lines = &pis[..pis.len().min(15)];
+        let codes = msatpg_conversion::constraints::thermometer_codes(lines.len());
+        let mut skipped = 0;
+        for constrained in [false, true] {
+            let mut atpg = DigitalAtpg::new(netlist);
+            if constrained {
+                atpg = atpg.with_constraints(lines, &codes).unwrap();
+            }
+            for &fault in FaultList::collapsed(netlist).faults() {
+                let what = format!("{} (constrained: {constrained})", fault.describe(netlist));
+                let stuck = atpg.manager.constant(fault.stuck_at);
+                if atpg.signal_bdds[fault.signal.index()] == stuck {
+                    // The activation-is-zero early exit.
+                    let oracle = paper_test_sets(&mut atpg, fault);
+                    assert!(oracle.iter().all(|s| s.is_zero()), "{what}");
+                    continue;
+                }
+                atpg.rebuild_faulty_cone(fault.signal, stuck).unwrap();
+                let fast: Vec<Option<Bdd>> = netlist
+                    .primary_outputs()
+                    .iter()
+                    .map(|&po| atpg.output_test_set(po).unwrap())
+                    .collect();
+                let oracle = paper_test_sets(&mut atpg, fault);
+                for (po_index, (fast, oracle)) in fast.into_iter().zip(oracle).enumerate() {
+                    match fast {
+                        Some(test_set) => {
+                            assert_eq!(test_set, oracle, "{what} at output {po_index}")
+                        }
+                        None => {
+                            skipped += 1;
+                            assert!(oracle.is_zero(), "{what}: skipped output {po_index}");
+                        }
+                    }
+                }
+            }
+        }
+        skipped
+    }
+
+    /// A seeded random netlist with reconvergent fanout, gates reading the
+    /// same signal twice and outputs that are interior signals.
+    fn random_netlist(seed: u64) -> Netlist {
+        use msatpg_digital::prng::SplitMix64;
+        const KINDS: [GateKind; 8] = [
+            GateKind::Buf,
+            GateKind::Not,
+            GateKind::And,
+            GateKind::Nand,
+            GateKind::Or,
+            GateKind::Nor,
+            GateKind::Xor,
+            GateKind::Xnor,
+        ];
+        let mut rng = SplitMix64::new(seed);
+        let mut netlist = Netlist::new(&format!("random{seed}"));
+        let mut signals: Vec<SignalId> = (0..8).map(|i| netlist.input(&format!("i{i}"))).collect();
+        for g in 0..40 {
+            let kind = KINDS[rng.below(KINDS.len())];
+            let arity = if kind.is_unary() { 1 } else { 2 + rng.below(2) };
+            let inputs: Vec<SignalId> = (0..arity)
+                .map(|_| signals[rng.below(signals.len())])
+                .collect();
+            signals.push(netlist.gate(kind, &format!("g{g}"), &inputs));
+        }
+        for _ in 0..5 {
+            netlist.mark_output(signals[8 + rng.below(signals.len() - 8)]);
+        }
+        netlist.mark_output(*signals.last().unwrap());
+        netlist
+    }
+
+    #[test]
+    fn test_sets_equal_the_papers_boolean_difference() {
+        let mut skipped = 0;
+        for netlist in [
+            circuits::figure3_circuit(),
+            circuits::adder4(),
+            msatpg_digital::benchmarks::c432(),
+            msatpg_digital::benchmarks::c499(),
+        ] {
+            skipped += assert_matches_paper_oracle(&netlist);
+        }
+        for seed in 1..=6 {
+            skipped += assert_matches_paper_oracle(&random_netlist(seed));
+        }
+        assert!(skipped > 0, "no output was skipped by the handle check");
     }
 }

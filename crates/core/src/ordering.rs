@@ -3,8 +3,9 @@
 //! [`PropagationEngine`].
 //!
 //! OBDD size is notoriously order-sensitive.  Both engines declare the
-//! primary inputs in netlist order — the paper's order — and the composite
-//! variable `D` last.  [`DvoMode`] optionally runs Rudell sifting on the
+//! primary inputs in netlist order — the paper's order — and the
+//! propagation engine declares the composite variable `D` last.
+//! [`DvoMode`] optionally runs Rudell sifting on the
 //! live arena (see `msatpg_bdd::reorder`) at a deterministic
 //! construction-time safe point, before any per-fault work consumes the
 //! order, so reports stay byte-identical across thread counts.  The default

@@ -8,6 +8,13 @@
 //! primary output over the *external* primary inputs plus the composite
 //! variable `D` (last in the ordering) and looks for an external-input
 //! assignment under which the output depends on `D`.
+//!
+//! The Boolean difference `∂f/∂D` is unchanged by `D → ¬D`, so a `D` and a
+//! `D̄` on the same line propagate under exactly the same assignments.
+//! [`PropagationEngine::find_propagating_assignments`] therefore answers
+//! both polarities from one build and one Boolean difference per output,
+//! cross-checking the cube with the five-valued simulator under each
+//! polarity; the Table-5 conversion study uses it.
 
 use std::collections::HashMap;
 
@@ -86,19 +93,59 @@ impl<'a> PropagationEngine<'a> {
         composite_line: SignalId,
         composite: Logic,
     ) -> Result<Option<PropagationResult>, CoreError> {
+        let Some((manager, cube, po_index)) =
+            self.first_observable_cube(fixed, composite_line, composite)?
+        else {
+            return Ok(None);
+        };
+        self.result_from_cube(&manager, &cube, po_index, fixed, composite_line, composite)
+            .map(Some)
+    }
+
+    /// [`Self::find_propagating_assignment`] for both polarities from one
+    /// build: `∂f/∂D` does not change under `D → ¬D`, so the `D` and `D̄`
+    /// searches find the same output and the same cube, and either both
+    /// propagate or neither does.  Returns the `(D, D̄)` results, each
+    /// cross-checked with the five-valued simulator under its own polarity.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if the five-valued simulator contradicts the BDD
+    /// search for either polarity.
+    pub fn find_propagating_assignments(
+        &self,
+        fixed: &HashMap<SignalId, bool>,
+        composite_line: SignalId,
+    ) -> Result<Option<(PropagationResult, PropagationResult)>, CoreError> {
+        let Some((manager, cube, po_index)) =
+            self.first_observable_cube(fixed, composite_line, Logic::D)?
+        else {
+            return Ok(None);
+        };
+        let check = |composite: Logic| {
+            self.result_from_cube(&manager, &cube, po_index, fixed, composite_line, composite)
+        };
+        Ok(Some((check(Logic::D)?, check(Logic::Dbar)?)))
+    }
+
+    /// Builds the output functions and returns the manager, a satisfying
+    /// cube of the first output's Boolean difference with respect to `D`
+    /// that is non-zero, and that output's index.
+    fn first_observable_cube(
+        &self,
+        fixed: &HashMap<SignalId, bool>,
+        composite_line: SignalId,
+        composite: Logic,
+    ) -> Result<Option<(BddManager, Cube, usize)>, CoreError> {
         let (mut manager, outputs, d_var) =
             self.build_output_functions(fixed, composite_line, composite)?;
         for (po_index, &f) in outputs.iter().enumerate() {
             // The fault is observable at this output iff the output depends
             // on D for some external-input assignment.
             let diff = manager.boolean_difference(f, d_var);
-            if diff.is_zero() {
-                continue;
+            if let Some(cube) = manager.sat_one(diff) {
+                return Ok(Some((manager, cube, po_index)));
             }
-            let cube = manager.sat_one(diff).expect("non-zero BDD is satisfiable");
-            let result =
-                self.result_from_cube(&manager, &cube, po_index, fixed, composite_line, composite)?;
-            return Ok(Some(result));
         }
         Ok(None)
     }

@@ -80,4 +80,14 @@ result=$(cargo run --release --quiet --offline --manifest-path flowbench/Cargo.t
 echo "${result}"
 grep -q '"failed": 0,' <<<"${result}"
 
+# Every iteration compares each constrained campaign with
+# flowbench/reference.txt, so this catches any digital report that stops
+# being byte-identical.
+echo "==> flowbench smoke (iscas_campaigns for 3 s, must report \"failed\": 0 and \"correct\": true)"
+result=$(cargo run --release --quiet --offline --manifest-path flowbench/Cargo.toml -- \
+    --workload iscas_campaigns --seed 1 --seconds 3 --trace 0 | tail -n 1)
+echo "${result}"
+grep -q '"failed": 0,' <<<"${result}"
+grep -q '"correct": true,' <<<"${result}"
+
 echo "==> CI passed"

@@ -13,7 +13,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-BASELINE=14
+BASELINE=13
 
 LIB_DIRS=(
     crates/bdd/src
