@@ -3,8 +3,8 @@
 //! This crate provides the reduced, ordered BDD package that the
 //! backtrack-free test generator of Ayari, BenHamida & Kaminska (DATE 1995)
 //! relies on.  The central type is [`BddManager`], a hash-consing node store
-//! with memoized `apply`/`ite` operations, cofactoring, quantification,
-//! Boolean difference and satisfying-assignment enumeration.
+//! with memoized `apply`/`ite` operations, restriction, the Boolean
+//! difference and satisfying-assignment enumeration.
 //!
 //! # Engine
 //!
@@ -25,17 +25,18 @@
 //!   unique table and invalidates the lossy operation caches.  Live
 //!   handles are never renumbered, so cube enumeration, DOT export and
 //!   every `TestPlan` built on top are byte-identical with collection on
-//!   or off.  A watermark armed via [`BddManager::set_auto_gc`] triggers
-//!   collection automatically at operation entry;
+//!   or off.  Collection runs only at the caller's explicit safe points
+//!   ([`BddManager::gc`], [`BddManager::gc_if_above`]), never inside an
+//!   operation, so an unprotected handle stays valid until the caller
+//!   collects;
 //! * **dynamic variable reordering** — the global order is a permutation
 //!   (`var` ↔ level) maintained beside the arena, so [`VarId`]s are never
 //!   renumbered.  Adjacent-level swap ([`BddManager::try_swap_adjacent`])
 //!   rewrites the affected nodes in place (handles stay valid) and
 //!   sifting ([`BddManager::try_sift`]) walks every variable to a locally
 //!   optimal level under a growth cap, governed by the same budget and
-//!   cancellation machinery.  A [`DvoSchedule`] armed via
-//!   [`BddManager::set_dvo`] reorders automatically at the auto-GC safe
-//!   points; see [`reorder`] for the swap mechanics on complement edges;
+//!   cancellation machinery.  Sifting runs only when the caller asks for
+//!   it; see [`reorder`] for the swap mechanics on complement edges;
 //!
 //! and the performance plumbing carried over from the arena overhaul:
 //!
@@ -52,7 +53,7 @@
 //!
 //! Operations are `O(|f|·|g|)` as usual for reduced OBDDs; complement
 //! edges change the constants (and `not` to O(1)), not the asymptotics —
-//! see `BENCH_kernels.json` and the `bdd_ops` bench.
+//! see the `bdd` rows of `BENCH_kernels.json`.
 //!
 //! # Resource governance
 //!
@@ -104,17 +105,13 @@
 pub mod budget;
 mod cube;
 mod dot;
-mod expr;
 mod manager;
 mod node;
 pub mod reorder;
-pub mod store;
 
 pub use budget::{BddBudget, BddError};
 pub use cube::{Assignment, Cube, CubeIter};
 pub use dot::{to_dot, to_text_tree};
-pub use expr::Expr;
 pub use manager::{BddManager, BddStats, CacheStats, GcReport};
 pub use node::{Bdd, VarId};
-pub use reorder::{DvoSchedule, SiftReport};
-pub use store::{export_bdd, import_bdd, BddStoreError};
+pub use reorder::SiftReport;

@@ -81,10 +81,10 @@ fn bench_fault_sim(name: &str, pattern_count: usize) -> FaultSimReport {
         slow.detected().len(),
         "engines disagree on {name}"
     );
-    let serial_seconds = time(3, || {
+    let serial_seconds = time_best(3, 1, || {
         std::hint::black_box(sim.run_serial(&faults, &patterns).unwrap());
     });
-    let ppsfp_seconds = time(5, || {
+    let ppsfp_seconds = time_best(5, 2, || {
         std::hint::black_box(sim.run(&faults, &patterns).unwrap());
     });
     FaultSimReport {
@@ -239,7 +239,7 @@ fn bench_ppsfp_scaling(name: &str, pattern_count: usize) -> ThreadScalingReport 
             reference.detected(),
             "{name}: {workers}-worker run must be byte-identical to serial"
         );
-        let seconds = time(5, || {
+        let seconds = time_best(5, 2, || {
             std::hint::black_box(sim.run_with_cones(&faults, &patterns, &cones).unwrap());
         });
         if workers == 1 {
@@ -300,7 +300,7 @@ fn bench_pipelined_scaling(name: &str) -> PipelinedScalingReport {
             check.vectors, reference.vectors,
             "{name} at {workers} workers"
         );
-        let seconds = time(3, || {
+        let seconds = time_best(5, 1, || {
             std::hint::black_box(run().unwrap());
         });
         if workers == 1 {

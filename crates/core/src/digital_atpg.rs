@@ -1154,8 +1154,8 @@ impl<'a> DigitalAtpg<'a> {
 
     /// Inline generation with the panic policy applied: under
     /// [`PanicPolicy::Isolate`] a panic is caught and confined to this
-    /// fault (the manager may retain a few pinned transient nodes from the
-    /// interrupted recursion — safe, at worst a small arena leak).
+    /// fault (the interrupted recursion leaves only unprotected garbage,
+    /// reclaimed at the next safe-point collection).
     fn guarded_generate(
         &mut self,
         fault: StuckAtFault,

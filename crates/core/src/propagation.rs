@@ -153,7 +153,7 @@ impl<'a> PropagationEngine<'a> {
     /// Builds the OBDDs of every primary output over the external inputs
     /// plus the composite variable `D` (declared last), registers them as
     /// GC roots and sweeps the interior signal functions the build left
-    /// behind.  Shared by the single-output and the all-outputs searches.
+    /// behind.
     pub(crate) fn build_output_functions(
         &self,
         fixed: &HashMap<SignalId, bool>,
@@ -218,68 +218,6 @@ impl<'a> PropagationEngine<'a> {
             let _ = manager.try_sift_until_convergence();
         }
         Ok((manager, outputs, d_var))
-    }
-
-    /// Lists, for each primary output, whether the composite value can be
-    /// propagated to it (used for the "propagation through comparators"
-    /// study of Table 5).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Self::find_propagating_assignment`].
-    pub fn reachable_outputs(
-        &self,
-        fixed: &HashMap<SignalId, bool>,
-        composite_line: SignalId,
-        composite: Logic,
-    ) -> Result<Vec<bool>, CoreError> {
-        let mut reachable = Vec::new();
-        for po_index in 0..self.netlist.primary_outputs().len() {
-            let single =
-                self.find_propagating_assignment_to(fixed, composite_line, composite, po_index)?;
-            reachable.push(single.is_some());
-        }
-        Ok(reachable)
-    }
-
-    fn find_propagating_assignment_to(
-        &self,
-        fixed: &HashMap<SignalId, bool>,
-        composite_line: SignalId,
-        composite: Logic,
-        target_output: usize,
-    ) -> Result<Option<PropagationResult>, CoreError> {
-        // Reuse the general search but mask every other output by checking
-        // only the requested one.
-        let all = self.find_all(fixed, composite_line, composite)?;
-        Ok(all.into_iter().find(|r| r.observed_output == target_output))
-    }
-
-    fn find_all(
-        &self,
-        fixed: &HashMap<SignalId, bool>,
-        composite_line: SignalId,
-        composite: Logic,
-    ) -> Result<Vec<PropagationResult>, CoreError> {
-        let (mut manager, outputs, d_var) =
-            self.build_output_functions(fixed, composite_line, composite)?;
-        let mut results = Vec::new();
-        for (po_index, &f) in outputs.iter().enumerate() {
-            let diff = manager.boolean_difference(f, d_var);
-            if diff.is_zero() {
-                continue;
-            }
-            let cube = manager.sat_one(diff).expect("non-zero BDD is satisfiable");
-            results.push(self.result_from_cube(
-                &manager,
-                &cube,
-                po_index,
-                fixed,
-                composite_line,
-                composite,
-            )?);
-        }
-        Ok(results)
     }
 
     fn result_from_cube(
@@ -351,6 +289,23 @@ mod tests {
     use super::*;
     use msatpg_digital::circuits;
 
+    /// For each primary output, whether its Boolean difference with
+    /// respect to `D` is non-zero, i.e. whether the composite value can be
+    /// observed there.
+    fn observable_outputs(
+        engine: &PropagationEngine<'_>,
+        fixed: &HashMap<SignalId, bool>,
+        composite_line: SignalId,
+    ) -> Vec<bool> {
+        let (mut manager, outputs, d_var) = engine
+            .build_output_functions(fixed, composite_line, Logic::D)
+            .unwrap();
+        outputs
+            .iter()
+            .map(|&f| !manager.boolean_difference(f, d_var).is_zero())
+            .collect()
+    }
+
     /// The paper's Figure-6 scenario: l0 = D, l2 = D̄ is not representable
     /// with a single composite line, so we reproduce the simpler case the
     /// text walks through: a D appears on l2 (through the comparator Co1)
@@ -396,14 +351,14 @@ mod tests {
         let engine = PropagationEngine::new(&circuit);
         let mut fixed = HashMap::new();
         fixed.insert(l0, false);
-        let reachable = engine.reachable_outputs(&fixed, l2, Logic::D).unwrap();
+        let reachable = observable_outputs(&engine, &fixed, l2);
         assert_eq!(reachable, vec![true, true], "both outputs reachable");
 
         // Now force l0 = 1: l6 is stuck at 1, Vo2 = l4 is fault-free, and
         // only Vo1 (through l7) can observe the composite.
         let mut fixed2 = HashMap::new();
         fixed2.insert(l0, true);
-        let reachable2 = engine.reachable_outputs(&fixed2, l2, Logic::D).unwrap();
+        let reachable2 = observable_outputs(&engine, &fixed2, l2);
         assert_eq!(reachable2, vec![true, false]);
     }
 

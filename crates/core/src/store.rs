@@ -1,9 +1,7 @@
 //! Crash-consistent persistence for the durable ATPG artifacts.
 //!
-//! Three artifact kinds are stored — netlists (`.bench` text), digital
-//! [`AtpgReport`]s, and BDDs (the dddmp-style codec of
-//! [`msatpg_bdd::store`]) — plus campaign [`Checkpoint`]s, the snapshots
-//! behind [`DigitalAtpg::with_checkpoint`](crate::DigitalAtpg::with_checkpoint)
+//! Two artifact kinds are stored — digital [`AtpgReport`]s and campaign
+//! [`Checkpoint`]s, the snapshots behind [`DigitalAtpg::with_checkpoint`](crate::DigitalAtpg::with_checkpoint)
 //! / [`DigitalAtpg::with_resume`](crate::DigitalAtpg::with_resume).
 //!
 //! # Envelope
@@ -16,7 +14,7 @@
 //! ```
 //!
 //! The header carries the format version (see [`FORMAT_VERSION`]), the
-//! artifact kind (`netlist` / `report` / `bdd` / `checkpoint`) and an
+//! artifact kind (`report` / `checkpoint`) and an
 //! FNV-1a 64 checksum of the payload.  Readers verify all of it **before**
 //! touching the payload, so any malformed byte — a short file, a flipped
 //! bit, a future version, the wrong artifact kind — surfaces as a
@@ -39,9 +37,6 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-use msatpg_bdd::store as bdd_store;
-use msatpg_bdd::{Bdd, BddManager};
-use msatpg_digital::bench_format;
 use msatpg_digital::fault::StuckAtFault;
 use msatpg_digital::netlist::Netlist;
 use msatpg_exec::{ChaosEvent, ChaosInjector};
@@ -56,9 +51,9 @@ const MAGIC: &str = "msatpg-store";
 
 /// A failure while persisting or loading a durable artifact.
 ///
-/// All variants carry the offending path.  [`StoreError::source`] exposes
-/// the underlying cause where one exists (an I/O error, a payload codec
-/// error such as [`msatpg_bdd::BddStoreError`] or a `.bench` parse error).
+/// Loading a [`save_report`] or [`save_checkpoint`] file fails with one of
+/// these.  All variants carry the offending path; [`StoreError::source`]
+/// exposes the underlying I/O error of [`StoreError::Io`].
 #[derive(Debug)]
 pub enum StoreError {
     /// The operating system refused the read or write.
@@ -92,8 +87,6 @@ pub enum StoreError {
         path: PathBuf,
         /// What was violated.
         reason: String,
-        /// The payload codec's own error, when one exists.
-        source: Option<Box<dyn Error + Send + Sync>>,
     },
 }
 
@@ -115,7 +108,7 @@ impl fmt::Display for StoreError {
             StoreError::Truncated { path, reason } => {
                 write!(f, "{} is truncated: {reason}", path.display())
             }
-            StoreError::Corrupt { path, reason, .. } => {
+            StoreError::Corrupt { path, reason } => {
                 write!(f, "{} is corrupt: {reason}", path.display())
             }
         }
@@ -126,10 +119,6 @@ impl Error for StoreError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
             StoreError::Io { source, .. } => Some(source),
-            StoreError::Corrupt {
-                source: Some(inner),
-                ..
-            } => Some(inner.as_ref()),
             _ => None,
         }
     }
@@ -161,7 +150,6 @@ fn corrupt(path: &Path, reason: impl Into<String>) -> StoreError {
     StoreError::Corrupt {
         path: path.to_owned(),
         reason: reason.into(),
-        source: None,
     }
 }
 
@@ -343,61 +331,6 @@ pub(crate) fn atomic_write_chaotic(
 }
 
 // ---------------------------------------------------------------------------
-// Netlists
-// ---------------------------------------------------------------------------
-
-/// Persists a netlist (the `.bench` text plus its name) atomically.
-pub fn save_netlist(path: &Path, netlist: &Netlist) -> Result<(), StoreError> {
-    let mut payload = format!("name {}\n", netlist.name().replace(['\n', '\r'], " "));
-    payload.push_str(&bench_format::write(netlist));
-    atomic_write(path, &envelope("netlist", &payload))
-}
-
-/// Loads a netlist saved by [`save_netlist`].
-///
-/// Gates are emitted in dependency order, so reloading reproduces the
-/// original signal numbering whenever the source netlist declared its
-/// inputs first (every generator in this workspace does).
-pub fn load_netlist(path: &Path) -> Result<Netlist, StoreError> {
-    let payload = read_envelope(path, "netlist")?;
-    let (first, rest) = payload
-        .split_once('\n')
-        .ok_or_else(|| corrupt(path, "missing netlist name line"))?;
-    let name = first
-        .strip_prefix("name ")
-        .or_else(|| (first == "name").then_some(""))
-        .ok_or_else(|| corrupt(path, format!("expected `name <circuit>`, got `{first}`")))?;
-    bench_format::parse(name, rest).map_err(|e| StoreError::Corrupt {
-        path: path.to_owned(),
-        reason: format!("netlist payload rejected: {e}"),
-        source: Some(Box::new(e)),
-    })
-}
-
-// ---------------------------------------------------------------------------
-// BDDs
-// ---------------------------------------------------------------------------
-
-/// Persists one BDD (with the manager's variable order) atomically, using
-/// the dddmp-style codec of [`msatpg_bdd::store`].
-pub fn save_bdd(path: &Path, manager: &BddManager, f: Bdd, name: &str) -> Result<(), StoreError> {
-    let payload = bdd_store::export_bdd(manager, f, name);
-    atomic_write(path, &envelope("bdd", &payload))
-}
-
-/// Loads a BDD saved by [`save_bdd`] into `manager`, returning the handle
-/// and the stored name (see [`msatpg_bdd::store::import_bdd`] for the
-/// variable-order contract).
-pub fn load_bdd(path: &Path, manager: &mut BddManager) -> Result<(Bdd, String), StoreError> {
-    let payload = read_envelope(path, "bdd")?;
-    bdd_store::import_bdd(manager, &payload).map_err(|e| StoreError::Corrupt {
-        path: path.to_owned(),
-        reason: format!("BDD payload rejected: {e}"),
-        source: Some(Box::new(e)),
-    })
-}
-
-// ---------------------------------------------------------------------------
 // Reports
 // ---------------------------------------------------------------------------
 
@@ -476,7 +409,7 @@ fn resolve_fault(netlist: &Netlist, stuck: &str, name: &str) -> Result<StuckAtFa
 
 /// Persists a digital [`AtpgReport`] atomically.  Faults and vectors are
 /// stored by signal *name*, so the report can be reloaded against any
-/// equivalently-named netlist (e.g. one reloaded via [`load_netlist`]).
+/// equivalently-named netlist (e.g. one re-read from its `.bench` text).
 pub fn save_report(path: &Path, netlist: &Netlist, report: &AtpgReport) -> Result<(), StoreError> {
     atomic_write(path, &envelope("report", &report_payload(netlist, report)))
 }
@@ -899,48 +832,30 @@ mod tests {
     }
 
     #[test]
-    fn netlist_roundtrip_preserves_structure_and_behavior() {
-        let dir = scratch("netlist");
-        let path = dir.join("adder4.netlist");
-        let original = circuits::adder4();
-        save_netlist(&path, &original).unwrap();
-        let loaded = load_netlist(&path).unwrap();
-        assert_eq!(loaded.name(), original.name());
-        assert_eq!(
-            loaded.primary_inputs().len(),
-            original.primary_inputs().len()
-        );
-        assert_eq!(
-            loaded.primary_outputs().len(),
-            original.primary_outputs().len()
-        );
-        assert_eq!(loaded.gate_count(), original.gate_count());
-        for i in 0..32u32 {
-            let pattern: Vec<bool> = (0..9).map(|b| (i >> (b % 5)) & 1 == 1).collect();
-            assert_eq!(
-                original.evaluate(&pattern).unwrap(),
-                loaded.evaluate(&pattern).unwrap()
-            );
-        }
-        fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn envelope_rejects_every_corruption_structurally() {
         let dir = scratch("envelope");
-        let path = dir.join("x.netlist");
-        save_netlist(&path, &circuits::figure3_circuit()).unwrap();
+        let path = dir.join("x.report");
+        let netlist = circuits::figure3_circuit();
+        let report = crate::DigitalAtpg::new(&netlist)
+            .run(&FaultList::collapsed(&netlist))
+            .unwrap();
+        save_report(&path, &netlist, &report).unwrap();
         let good = fs::read(&path).unwrap();
+        let reloaded = load_report(&path, &netlist).unwrap();
+        assert_eq!(
+            report_payload(&netlist, &reloaded),
+            report_payload(&netlist, &report)
+        );
 
         // Missing file -> Io.
-        let missing = load_netlist(&dir.join("nope.netlist")).unwrap_err();
+        let missing = load_report(&dir.join("nope.report"), &netlist).unwrap_err();
         assert!(matches!(missing, StoreError::Io { .. }), "{missing}");
 
         // Truncations at every byte length never panic; short payloads are
         // Truncated, a cut inside the header is Truncated/Corrupt.
         for keep in 0..good.len() {
             fs::write(&path, &good[..keep]).unwrap();
-            let err = load_netlist(&path).unwrap_err();
+            let err = load_report(&path, &netlist).unwrap_err();
             assert!(
                 !matches!(err, StoreError::Io { .. }),
                 "cut at {keep}: expected a structural error, got {err}"
@@ -948,18 +863,18 @@ mod tests {
         }
 
         // Every single-bit flip is caught.
-        for byte in [0, 5, 20, good.len() / 2, good.len() - 1] {
+        for byte in 0..good.len() {
             let mut bad = good.clone();
             bad[byte] ^= 0x10;
             fs::write(&path, &bad).unwrap();
-            assert!(load_netlist(&path).is_err(), "flip at byte {byte}");
+            assert!(load_report(&path, &netlist).is_err(), "flip at byte {byte}");
         }
 
         // Wrong version -> VersionMismatch.
         let text = String::from_utf8(good.clone()).unwrap();
         let wrong = text.replacen("msatpg-store 1 ", "msatpg-store 999 ", 1);
         fs::write(&path, wrong).unwrap();
-        let err = load_netlist(&path).unwrap_err();
+        let err = load_report(&path, &netlist).unwrap_err();
         assert!(
             matches!(
                 &err,
@@ -969,51 +884,13 @@ mod tests {
         );
 
         // Wrong artifact kind -> Corrupt (with the right checksum, even).
-        let report_bytes = envelope("report", "not a netlist");
-        fs::write(&path, report_bytes).unwrap();
-        let err = load_netlist(&path).unwrap_err();
+        fs::write(&path, envelope("checkpoint", "not a report")).unwrap();
+        let err = load_report(&path, &netlist).unwrap_err();
         assert!(matches!(err, StoreError::Corrupt { .. }), "{err}");
 
         // Garbage -> Corrupt, never a panic.
         fs::write(&path, b"complete garbage\nwith lines\n").unwrap();
-        assert!(load_netlist(&path).is_err());
-        fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn corrupt_payload_chains_its_source() {
-        let dir = scratch("source");
-        let path = dir.join("x.netlist");
-        // Valid envelope around an invalid .bench payload: the DigitalError
-        // must be reachable through source().
-        let payload = "name broken\nINPUT(a)\nINPUT(a)\n";
-        fs::write(&path, envelope("netlist", payload)).unwrap();
-        let err = load_netlist(&path).unwrap_err();
-        assert!(matches!(err, StoreError::Corrupt { .. }), "{err}");
-        let source = err.source().expect("source chained");
-        assert!(format!("{source}").contains("duplicate"));
-        fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn bdd_roundtrip_through_the_envelope() {
-        let dir = scratch("bdd");
-        let path = dir.join("f.bdd");
-        let mut m = BddManager::new();
-        let a = m.var("a");
-        let b = m.var("b");
-        let c = m.var("c");
-        let ab = m.and(a, b);
-        let f = m.xor(ab, c);
-        save_bdd(&path, &m, f, "f").unwrap();
-        let mut m2 = BddManager::new();
-        let (g, name) = load_bdd(&path, &mut m2).unwrap();
-        assert_eq!(name, "f");
-        assert_eq!(m.sat_count(f), m2.sat_count(g));
-        assert_eq!(
-            m.cubes(f).collect::<Vec<_>>(),
-            m2.cubes(g).collect::<Vec<_>>()
-        );
+        assert!(load_report(&path, &netlist).is_err());
         fs::remove_dir_all(&dir).ok();
     }
 

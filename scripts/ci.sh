@@ -90,4 +90,13 @@ echo "${result}"
 grep -q '"failed": 0,' <<<"${result}"
 grep -q '"correct": true,' <<<"${result}"
 
+# The only workload that spawns pool workers and runs the worst-case
+# analog search.
+echo "==> flowbench smoke (board_fig8_2t for 3 s, must report \"failed\": 0 and \"correct\": true)"
+result=$(cargo run --release --quiet --offline --manifest-path flowbench/Cargo.toml -- \
+    --workload board_fig8_2t --seed 1 --seconds 3 --trace 0 | tail -n 1)
+echo "${result}"
+grep -q '"failed": 0,' <<<"${result}"
+grep -q '"correct": true,' <<<"${result}"
+
 echo "==> CI passed"
